@@ -5,7 +5,11 @@ Two building blocks:
 * ``adaptive_gauss`` -- h-adaptive Gauss-Legendre on a finite interval.
   Each panel is evaluated with an n-point and a 2n-point rule; the
   difference is the panel error estimate and the worst panel is bisected
-  until the summed estimate meets the tolerance.
+  until the summed estimate meets the tolerance. Every panel of a step
+  (the initial split, or both halves of a bisection) is evaluated in one
+  integrand call on the flattened (panels x both rules) abscissae, so an
+  integrand that batches its own work sees a few large arrays rather than
+  many small ones.
 * ``cc_batch`` -- nested Clenshaw-Curtis with node doubling, applied to a
   whole batch of integrands at once (the angular integral for every k'
   node of a panel in one numpy call).
@@ -28,13 +32,18 @@ class ConvergenceError(RuntimeError):
     """Quadrature failed to reach the requested tolerance.
 
     Carries the achieved absolute error estimate and the best value so the
-    caller can report how far the run got.
+    caller can report how far the run got. ``layer`` ("xi", "kprime" or
+    "phi") and ``xi`` (the frequency node of an inner-layer failure, rad/s)
+    are filled in by the caller that knows which integral a rule served;
+    both stay None when a rule is used on its own.
     """
 
     def __init__(self, message: str, value: float, achieved_abs_err: float):
         super().__init__(message)
         self.value = value
         self.achieved_abs_err = achieved_abs_err
+        self.layer: str | None = None
+        self.xi: float | None = None
 
 
 @lru_cache(maxsize=32)
@@ -43,22 +52,33 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_estimate(
+def _panel_estimates(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    los,
+    his,
     n_low: int,
     n_high: int,
-) -> tuple[float, float]:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+) -> list[tuple[float, float]]:
+    """(value, abs error estimate) of each panel [los[i], his[i]].
+
+    One call of ``f`` receives every panel's n_high then n_low nodes as a
+    flat array; each row is reduced on its own, so a pointwise integrand
+    gives the same bits as evaluating the panels one rule at a time.
+    """
+    los = np.asarray(los, dtype=float)
+    his = np.asarray(his, dtype=float)
+    mids = 0.5 * (los + his)
+    halves = 0.5 * (his - los)
     x_lo, w_lo = _gl_rule(n_low)
     x_hi, w_hi = _gl_rule(n_high)
-    f_lo = f(mid + half * x_lo)
-    f_hi = f(mid + half * x_hi)
-    i_lo = half * float(np.dot(w_lo, f_lo))
-    i_hi = half * float(np.dot(w_hi, f_hi))
-    return i_hi, abs(i_hi - i_lo)
+    x = mids[:, None] + halves[:, None] * np.concatenate((x_hi, x_lo))
+    fx = np.reshape(f(x.ravel()), x.shape)
+    out = []
+    for half, row in zip(halves, fx):
+        i_hi = half * float(np.dot(w_hi, row[:n_high]))
+        i_lo = half * float(np.dot(w_lo, row[n_high:]))
+        out.append((i_hi, abs(i_hi - i_lo)))
+    return out
 
 
 def adaptive_gauss(
@@ -75,15 +95,16 @@ def adaptive_gauss(
     """Integrate ``f`` over [a, b]; returns (value, abs error estimate).
 
     ``f`` must accept a numpy array of abscissae and return the integrand
-    at each. Raises ConvergenceError if the panel budget runs out first.
+    at each; it is called once for the initial panels and once per
+    bisection. Raises ConvergenceError if the panel budget runs out first.
     """
     if not b > a:
         raise ValueError("integration interval must have b > a")
     edges = np.linspace(a, b, initial_panels + 1)
     heap: list[tuple[float, int, float, float, float, float]] = []
     counter = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel_estimate(f, lo, hi, n_low, n_high)
+    estimates = _panel_estimates(f, edges[:-1], edges[1:], n_low, n_high)
+    for lo, hi, (val, err) in zip(edges[:-1], edges[1:], estimates):
         heap.append((-err, counter, lo, hi, val, err))
         counter += 1
     heapq.heapify(heap)
@@ -104,9 +125,9 @@ def adaptive_gauss(
             )
         _, _, lo, hi, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            val, err = _panel_estimate(f, seg[0], seg[1], n_low, n_high)
-            heapq.heappush(heap, (-err, counter, seg[0], seg[1], val, err))
+        estimates = _panel_estimates(f, (lo, mid), (mid, hi), n_low, n_high)
+        for seg_lo, seg_hi, (val, err) in zip((lo, mid), (mid, hi), estimates):
+            heapq.heappush(heap, (-err, counter, seg_lo, seg_hi, val, err))
             counter += 1
         n_panels += 1
 

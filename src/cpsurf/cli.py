@@ -4,9 +4,8 @@ results, CSV/JSON emission, and optical-data ingestion.
 Configuration is a single JSON document (see README for the schema);
 command-line flags override config keys. All numeric output uses
 ``%.12e`` and every quadrature value is paired with an error column, so
-identical configs produce byte-identical files. The only environment
-override is ``CPSURF_THREADS`` (worker threads for grid sweeps; rows are
-always emitted in grid order).
+identical configs produce byte-identical files. Grid points run one after
+another in grid order; no environment variable changes the output.
 
 Exit codes: 0 success, 2 validation error, 3 quadrature non-convergence.
 """
@@ -15,11 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,6 +124,8 @@ def build_atom(spec):
             base = rubidium_single_oscillator()
             return StaticPolarizability(base.alpha0)
         raise ValueError(f"unknown atom preset {spec!r} (try rb87, rb87-static)")
+    if not isinstance(spec, dict):
+        raise ValueError(f"atom must be a preset name or an object, got {spec!r}")
     model = spec.get("model")
     if model == "static":
         return StaticPolarizability(float(spec["alpha0_si"]))
@@ -156,6 +155,8 @@ def build_surface(spec):
         raise ValueError(
             f"unknown surface preset {spec!r} (try gold, silicon, perfect)"
         )
+    if not isinstance(spec, dict):
+        raise ValueError(f"surface must be a preset name or an object, got {spec!r}")
     model = spec.get("model")
     if model == "plasma":
         return PlasmaMetal(float(spec["omega_p_rad_s"]))
@@ -211,26 +212,6 @@ def _build_probe(cfg: dict) -> BecProbeConfig:
 
 # ---------------------------------------------------------------------------
 # output plumbing
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CPSURF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"CPSURF_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError("CPSURF_THREADS must be >= 1")
-    return n
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    """Apply fn over grid points; results stay in input order."""
-    n = _thread_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _header_lines(atom_spec, surface_spec, settings: QuadratureSettings) -> list[str]:
@@ -299,7 +280,7 @@ def cmd_plane(args) -> int:
             f.error / abs(f_ref),
         ]
 
-    rows = _map_ordered(one, z_grid)
+    rows = [one(z) for z in z_grid]
     _write_csv(
         _pick(args.output, cfg, "output_csv"),
         _header_lines(atom_spec, surface_spec, settings),
@@ -385,7 +366,7 @@ def cmd_response(args) -> int:
             )
         return block
 
-    blocks = _map_ordered(one_z, z_grid)
+    blocks = [one_z(z) for z in z_grid]
     rows = [row for block in blocks for row, _ in block]
     _warn_negligible([g for block in blocks for _, g in block])
     _write_csv(
@@ -433,7 +414,7 @@ def cmd_rho(args) -> int:
             block.append(([z, k, k * z, rho_val, rho_err, rho_cp_perf(k * z)], g))
         return block
 
-    blocks = _map_ordered(one_z, z_grid)
+    blocks = [one_z(z) for z in z_grid]
     rows = [row for block in blocks for row, _ in block]
     _warn_negligible([g for block in blocks for _, g in block])
     _write_csv(
@@ -460,7 +441,7 @@ def cmd_eta(args) -> int:
         f_ref = f_cp0(z, alpha0)
         return [z, f.value / f_ref, f.error / abs(f_ref)]
 
-    rows = _map_ordered(one, z_grid)
+    rows = [one(z) for z in z_grid]
     _write_csv(
         _pick(args.output, cfg, "output_csv"),
         _header_lines(atom_spec, surface_spec, settings),
@@ -514,7 +495,7 @@ def cmd_corrugation(args) -> int:
         h = profile.height(r)
         return [x, u1.value, u1.error, fl.value, fl.error, h * f0.value, abs(h) * f0.error]
 
-    rows = _map_ordered(one, x_grid)
+    rows = [one(x) for x in x_grid]
     _warn_negligible([g_val])
     report = detectability_report(profile, z, config=_build_probe(cfg), g_of_k=g_of_k)
     report_obj = {
@@ -717,9 +698,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
-        print(f"error: quadrature did not converge ({exc})", file=sys.stderr)
+        where = f" in the {exc.layer} layer" if exc.layer else ""
+        if exc.xi is not None:
+            where += f" at xi={exc.xi:.6e} rad/s"
+        print(f"error: quadrature did not converge{where} ({exc})", file=sys.stderr)
         return 3
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

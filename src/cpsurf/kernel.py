@@ -44,8 +44,9 @@ class KernelPoint:
 
     kp, kpp are |k'| and |k''|; cos_dphi / sin_dphi are the cosine and
     sine of the angle from k'' to k'. All of kp, kpp, cos_dphi, sin_dphi
-    may be equal-shape arrays. ``eps`` and ``d_tm`` are None for a
-    perfect conductor.
+    may be broadcast-compatible arrays: a k' column of shape (n, 1) against
+    (n, m) k'' data keeps the k' leg (kappa_p, fres_p, d_tm) at n
+    elements. ``eps`` and ``d_tm`` are None for a perfect conductor.
     """
 
     xi: float

@@ -8,10 +8,15 @@ scales of the problem (xi_0 = c / z_A, k_0 = 1 / z_A):
 
 The outer (frequency) integral is adaptive Gauss-Legendre over scalar
 nodes; the inner wavenumber integral is adaptive Gauss-Legendre evaluated
-on whole node batches; the angular integral of the response is nested
-Clenshaw-Curtis applied to all wavenumber nodes of a batch at once. Inner
-tolerances are set below the requested one so the reported error, outer
-estimate plus a tolerance-sized pad, is trustworthy.
+on whole node batches (every panel of an adaptive step in one call); the
+angular integral of the response is nested Clenshaw-Curtis applied to all
+wavenumber nodes of a batch at once. The k' leg of the kernel (its
+Fresnel set, kappa' and the TM denominator) depends on k' only, so it is
+built once per k' column and broadcast against the k'' x angle grid.
+Inner tolerances are set below the requested one so the reported error,
+outer estimate plus a tolerance-sized pad, is trustworthy. A
+ConvergenceError names the layer that failed ("xi", "kprime" or "phi")
+and, for the inner two, the frequency node.
 
 Sign conventions: potentials and forces of an attractive interaction are
 negative; eta_f and rho are positive ratios.
@@ -20,6 +25,7 @@ negative; eta_f and rho are positive ratios.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,6 +108,18 @@ def _check_geometry(z_atom: float) -> None:
         raise ValueError("z_atom must be positive")
 
 
+@contextmanager
+def _layer(name: str, xi: float | None = None):
+    # The innermost failing rule is the one named; outer layers pass the
+    # error on unchanged.
+    try:
+        yield
+    except ConvergenceError as exc:
+        if exc.layer is None:
+            exc.layer, exc.xi = name, xi
+        raise
+
+
 def _plane_reflection_moment(surface, xi: float, k: np.ndarray) -> np.ndarray:
     # Q = (xi^2/c^2)(r_TE - r_TM) - 2 k^2 r_TM; reduces to -2 kappa^2 for
     # the ideal mirror. Negative for any passive surface.
@@ -129,14 +147,15 @@ def _plane_integral(atom, surface, z_atom, settings, force: bool) -> IntegralRes
                 * _plane_reflection_moment(surface, xi, k)
             )
 
-        val, _ = adaptive_gauss(
-            f_k,
-            0.0,
-            1.0,
-            inner_tol,
-            max_panels=settings.max_panels,
-            initial_panels=settings.initial_panels,
-        )
+        with _layer("kprime", xi):
+            val, _ = adaptive_gauss(
+                f_k,
+                0.0,
+                1.0,
+                inner_tol,
+                max_panels=settings.max_panels,
+                initial_panels=settings.initial_panels,
+            )
         return val
 
     def outer(u: np.ndarray) -> np.ndarray:
@@ -147,14 +166,15 @@ def _plane_integral(atom, surface, z_atom, settings, force: bool) -> IntegralRes
             out[i] = polarizability(atom, xi) * jac * inner(xi)
         return out
 
-    val, err = adaptive_gauss(
-        outer,
-        0.0,
-        1.0,
-        _OUTER_FRAC * settings.rel_tol,
-        max_panels=settings.max_panels,
-        initial_panels=settings.initial_panels,
-    )
+    with _layer("xi"):
+        val, err = adaptive_gauss(
+            outer,
+            0.0,
+            1.0,
+            _OUTER_FRAC * settings.rel_tol,
+            max_panels=settings.max_panels,
+            initial_panels=settings.initial_panels,
+        )
     value = _PREF_PLANE * val
     error = _PREF_PLANE * err + _REPORT_PAD * settings.rel_tol * abs(value)
     return IntegralResult(value, error)
@@ -224,34 +244,31 @@ def response_g(
                     ((kp_col - k_corr) + 2.0 * k_corr * sin_half2) / safe, -1.0, 1.0
                 )
                 sin_d = np.clip(-k_corr * np.sin(phi) / safe, -1.0, 1.0)
-                point = kernel_point(
-                    surface,
-                    xi,
-                    np.broadcast_to(kp_col, kpp.shape),
-                    kpp,
-                    cos_d,
-                    sin_d,
-                )
+                # The k' leg goes in as the (n, 1) column, so its optics
+                # run once per k' node and broadcast over k'' and phi.
+                point = kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d)
                 if use_perfect:
                     return a_perfect(point, z_atom)
                 return a_exact(point, z_atom)
 
-            vals, _ = cc_batch(
-                f_phi,
-                angular_tol,
-                min_half=settings.angular_min_half,
-                max_half=settings.angular_max_half,
-            )
+            with _layer("phi", xi):
+                vals, _ = cc_batch(
+                    f_phi,
+                    angular_tol,
+                    min_half=settings.angular_min_half,
+                    max_half=settings.angular_max_half,
+                )
             return jac * kp * vals
 
-        val, _ = adaptive_gauss(
-            f_k,
-            0.0,
-            1.0,
-            inner_tol,
-            max_panels=settings.max_panels,
-            initial_panels=settings.initial_panels,
-        )
+        with _layer("kprime", xi):
+            val, _ = adaptive_gauss(
+                f_k,
+                0.0,
+                1.0,
+                inner_tol,
+                max_panels=settings.max_panels,
+                initial_panels=settings.initial_panels,
+            )
         return val
 
     def outer(u: np.ndarray) -> np.ndarray:
@@ -262,14 +279,15 @@ def response_g(
             out[i] = polarizability(atom, xi) * jac * inner(xi)
         return out
 
-    val, err = adaptive_gauss(
-        outer,
-        0.0,
-        1.0,
-        _OUTER_FRAC * settings.rel_tol,
-        max_panels=settings.max_panels,
-        initial_panels=settings.initial_panels,
-    )
+    with _layer("xi"):
+        val, err = adaptive_gauss(
+            outer,
+            0.0,
+            1.0,
+            _OUTER_FRAC * settings.rel_tol,
+            max_panels=settings.max_panels,
+            initial_panels=settings.initial_panels,
+        )
     value = _PREF_G * val
     error = _PREF_G * err + _REPORT_PAD * settings.rel_tol * abs(value)
     return IntegralResult(value, error)

@@ -7,7 +7,6 @@ are asserted exactly as stated, including the two known-tight legs
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -267,9 +266,8 @@ def test_criterion_09_property_suite():
         "--atom", "rb87-static", "--surface", "perfect",
         "--rel-tol", "1e-5", "--z", "1e-6,2e-6", "--kz", "0,1",
     ]
-    env = dict(os.environ, CPSURF_THREADS="1")
-    run1 = subprocess.run(args, capture_output=True, text=True, env=env)
-    run2 = subprocess.run(args, capture_output=True, text=True, env=env)
+    run1 = subprocess.run(args, capture_output=True, text=True)
+    run2 = subprocess.run(args, capture_output=True, text=True)
     assert run1.returncode == 0
     assert run1.stdout == run2.stdout and run1.stdout
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -10,16 +9,15 @@ import pytest
 from cpsurf.closedforms import rho_cp_perf
 
 
-def run_cli(*args, threads="1", **kwargs):
-    env = os.environ.copy()
-    env["CPSURF_THREADS"] = threads
+def run_cli(*args, module="cpsurf"):
     return subprocess.run(
-        [sys.executable, "-m", "cpsurf", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        **kwargs,
+        [sys.executable, "-m", module, *args], capture_output=True, text=True
     )
+
+
+def assert_clean_exit(res, code):
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def parse_csv(text):
@@ -146,11 +144,6 @@ class TestDeterminism:
         b = run_cli(*self.ARGS)
         assert a.stdout == b.stdout
 
-    def test_thread_count_does_not_change_bytes(self):
-        one = run_cli(*self.ARGS, threads="1")
-        three = run_cli(*self.ARGS, threads="3")
-        assert one.stdout == three.stdout
-
 
 class TestCorrugation:
     HEADLINE = (
@@ -263,10 +256,6 @@ class TestExitCodes:
         )
         assert res.returncode == 2
 
-    def test_bad_thread_count(self):
-        res = run_cli("plane", *STATIC_MIRROR, "--z", "1e-6", threads="abc")
-        assert res.returncode == 2
-
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -292,5 +281,20 @@ class TestExitCodes:
             "plane", "--config", str(path), "--atom", "rb87",
             "--surface", "gold", "--z", "1e-6",
         )
-        assert res.returncode == 3
+        assert_clean_exit(res, 3)
         assert "converge" in res.stderr
+        assert "kprime layer at xi=" in res.stderr
+
+    @pytest.mark.parametrize("key, spec", [("atom", 5), ("surface", [])])
+    def test_spec_of_wrong_type(self, tmp_path, key, spec):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: spec}))
+        res = run_cli("plane", "--config", str(path), "--z", "1e-6")
+        assert_clean_exit(res, 2)
+        assert key in res.stderr
+
+    def test_cli_module_passes_exit_code(self):
+        res = run_cli(
+            "plane", "--surface", "nosuch", "--z", "1e-6", module="cpsurf.cli"
+        )
+        assert_clean_exit(res, 2)

@@ -104,3 +104,18 @@ class TestPerfectLimit:
                 kernel.kernel_point(GOLD, xi, kp[i], kpp[i], cos_d[i], sin_d[i]), za
             )
             assert batch[i] == pytest.approx(single, rel=1e-14)
+
+    @pytest.mark.parametrize("surface", [GOLD, SILICON, MIRROR])
+    def test_kp_column_broadcasts_like_full_grid(self, surface):
+        xi, za = 8e14, 6e-7
+        kp = np.array([[3e5], [1e6], [4e6]])
+        kpp = np.array([[5e5, 2e6], [2e6, 9e5], [9e5, 1e5]])
+        cos_d = np.array([[0.9, -0.2], [0.4, 0.1], [-0.7, 0.3]])
+        sin_d = np.sqrt(1.0 - cos_d**2)
+        column = kernel.kernel_point(surface, xi, kp, kpp, cos_d, sin_d)
+        full = kernel.kernel_point(
+            surface, xi, np.broadcast_to(kp, kpp.shape), kpp, cos_d, sin_d
+        )
+        assert column.kappa_p.shape == (3, 1)
+        a = kernel.a_perfect if surface.is_perfect else kernel.a_exact
+        np.testing.assert_array_equal(a(column, za), a(full, za))

@@ -141,6 +141,17 @@ class TestResponse:
         b = quad.response_g(osc_rb, gold, 1e-6, 2e6, fast_settings)
         assert a.value == b.value and a.error == b.error
 
+    @pytest.mark.parametrize(
+        "budget, layer",
+        [({"angular_max_half": 8}, "phi"), ({"max_panels": 4}, "kprime")],
+    )
+    def test_convergence_error_names_layer(self, osc_rb, silicon, budget, layer):
+        starved = QuadratureSettings(rel_tol=1e-13, **budget)
+        with pytest.raises(quad.ConvergenceError) as info:
+            quad.response_g(osc_rb, silicon, 1e-6, 3e6, starved)
+        assert info.value.layer == layer
+        assert info.value.xi > 0.0
+
     def test_validation(self, static_rb, mirror, settings):
         with pytest.raises(ValueError):
             quad.response_g(static_rb, mirror, 1e-6, -1.0, settings)
