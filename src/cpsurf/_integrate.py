@@ -2,25 +2,29 @@
 
 Two building blocks:
 
-* ``adaptive_gauss`` -- h-adaptive Gauss-Legendre on a finite interval.
-  Each panel is evaluated with an n-point and a 2n-point rule; the
-  difference is the panel error estimate and the worst panel is bisected
-  until the summed estimate meets the tolerance. Every panel of a step
-  (the initial split, or both halves of a bisection) is evaluated in one
-  integrand call on the flattened (panels x both rules) abscissae, so an
-  integrand that batches its own work sees a few large arrays rather than
-  many small ones.
+* ``adaptive_gauss_rows`` -- h-adaptive Gauss-Legendre run on many
+  independent integrals ("rows") in lock-step. Each panel is evaluated
+  with an n-point and a 2n-point rule; the difference is the panel error
+  estimate and each row bisects its own worst panel until its summed
+  estimate meets the tolerance. Every round makes one integrand call that
+  covers the panels of every unconverged row (the initial split of all
+  rows, then both halves of each row's bisection), so an integrand that
+  batches its own work sees a few large arrays rather than many small
+  ones. ``adaptive_gauss`` is the one-row case.
 * ``cc_batch`` -- nested Clenshaw-Curtis with node doubling, applied to a
   whole batch of integrands at once (the angular integral for every k'
   node of a panel in one numpy call).
 
 Both are deterministic: fixed node sets, worst-first splitting with a
-stable tie-break, and a position-ordered compensated final sum.
+stable tie-break and correctly rounded (``math.fsum``) totals. A row's
+panels, splits and totals never depend on the other rows, so it gets the
+same bits in lock-step as integrated alone.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from functools import lru_cache
 from typing import Callable
@@ -32,24 +36,33 @@ class ConvergenceError(RuntimeError):
     """Quadrature failed to reach the requested tolerance.
 
     Carries the achieved absolute error estimate and the best value so the
-    caller can report how far the run got. ``layer`` ("xi", "kprime" or
-    "phi") and ``xi`` (the frequency node of an inner-layer failure, rad/s)
-    are filled in by the caller that knows which integral a rule served;
-    both stay None when a rule is used on its own.
+    caller can report how far the run got. ``row`` is the index of the
+    failing row of a lock-step or batch rule (0 for a single integral).
+    ``layer`` ("xi", "kprime" or "phi"), ``xi`` (the frequency node of an
+    inner-layer failure, rad/s) and ``kp`` (the k' node of an angular
+    failure, 1/m) are filled in by the caller that knows which integral a
+    rule served; they stay None when a rule is used on its own.
     """
 
-    def __init__(self, message: str, value: float, achieved_abs_err: float):
+    def __init__(
+        self, message: str, value: float, achieved_abs_err: float, row: int = 0
+    ):
         super().__init__(message)
         self.value = value
         self.achieved_abs_err = achieved_abs_err
+        self.row = row
         self.layer: str | None = None
         self.xi: float | None = None
+        self.kp: float | None = None
 
 
-@lru_cache(maxsize=32)
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+@lru_cache(maxsize=8)
+def _gl_pair(n_low: int, n_high: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes of both rules (n_high first) and each rule's
+    weight column."""
+    x_lo, w_lo = np.polynomial.legendre.leggauss(n_low)
+    x_hi, w_hi = np.polynomial.legendre.leggauss(n_high)
+    return np.concatenate((x_hi, x_lo)), w_hi[:, None], w_lo[:, None]
 
 
 def _panel_estimates(
@@ -62,23 +75,115 @@ def _panel_estimates(
     """(value, abs error estimate) of each panel [los[i], his[i]].
 
     One call of ``f`` receives every panel's n_high then n_low nodes as a
-    flat array; each row is reduced on its own, so a pointwise integrand
-    gives the same bits as evaluating the panels one rule at a time.
+    flat array. Each panel is reduced by its own dot product (a stack of
+    1 x n products, which numpy hands to the same BLAS dot as ``np.dot``),
+    so a pointwise integrand gives the same bits as evaluating the panels
+    one rule at a time.
     """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     mids = 0.5 * (los + his)
     halves = 0.5 * (his - los)
-    x_lo, w_lo = _gl_rule(n_low)
-    x_hi, w_hi = _gl_rule(n_high)
-    x = mids[:, None] + halves[:, None] * np.concatenate((x_hi, x_lo))
-    fx = np.reshape(f(x.ravel()), x.shape)
-    out = []
-    for half, row in zip(halves, fx):
-        i_hi = half * float(np.dot(w_hi, row[:n_high]))
-        i_lo = half * float(np.dot(w_lo, row[n_high:]))
-        out.append((i_hi, abs(i_hi - i_lo)))
-    return out
+    nodes, w_hi, w_lo = _gl_pair(n_low, n_high)
+    x = mids[:, None] + halves[:, None] * nodes
+    fx = np.reshape(f(x.ravel()), x.shape)[:, None, :]
+    i_hi = halves * np.matmul(fx[..., :n_high], w_hi)[:, 0, 0]
+    i_lo = halves * np.matmul(fx[..., n_high:], w_lo)[:, 0, 0]
+    return list(zip(i_hi.tolist(), np.abs(i_hi - i_lo).tolist()))
+
+
+def adaptive_gauss_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a,
+    b,
+    rel_tol: float,
+    abs_tol: float = 0.0,
+    max_panels: int = 4096,
+    n_low: int = 8,
+    n_high: int = 16,
+    initial_panels: int = 4,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate many independent rows over [a[r], b[r]] in lock-step.
+
+    ``a`` and ``b`` are scalars or per-row 1-D arrays (broadcast against
+    each other); returns (values, abs error estimates), one per row. Each
+    round calls ``f(x, rows)`` once: ``x`` has one line per row still
+    working, holding the abscissae of that row's new panels, and ``rows``
+    is the int column of those rows' indices, so per-row data gathered as
+    ``data[rows]`` broadcasts against ``x``. ``f`` returns the integrand
+    at ``x`` (same shape). Every row keeps its own panel heap, worst-first
+    tie-break, ``fsum`` totals and ``max_panels`` budget, so its result
+    does not depend on the other rows. Raises ConvergenceError, with
+    ``row`` set, for the lowest-index row that runs out of panels.
+    """
+    if np.ndim(a) > 1 or np.ndim(b) > 1:
+        raise ValueError("interval bounds must be scalars or 1-D arrays")
+    a = np.asarray(a, dtype=float).reshape(-1, 1)
+    b = np.asarray(b, dtype=float).reshape(-1, 1)
+    if not np.all(b > a):
+        raise ValueError("integration interval must have b > a")
+    # Initial edges a + i (b - a) / n, the last one exactly b (the
+    # np.linspace rule, on every row at once).
+    edges = np.arange(initial_panels + 1.0) * ((b - a) / initial_panels) + a
+    edges[:, -1:] = b
+    n_rows = edges.shape[0]
+    counter = itertools.count()
+
+    def estimate(owners: list[int], los, his, per_row: int):
+        # owners lists each panel's row; every row in a round owns the
+        # same number of consecutive panels, so the abscissae fold into
+        # one line per row.
+        rows = np.array(owners[::per_row])[:, None]
+
+        def f_lines(x: np.ndarray) -> np.ndarray:
+            return f(x.reshape(rows.shape[0], -1), rows)
+
+        return _panel_estimates(f_lines, los, his, n_low, n_high)
+
+    owners = [r for r in range(n_rows) for _ in range(initial_panels)]
+    los, his = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    heaps: list[list] = [[] for _ in range(n_rows)]
+    for r, lo, hi, (val, err) in zip(
+        owners, los.tolist(), his.tolist(), estimate(owners, los, his, initial_panels)
+    ):
+        heaps[r].append((-err, next(counter), lo, hi, val, err))
+    for heap in heaps:
+        heapq.heapify(heap)
+
+    values = np.empty(n_rows)
+    errors = np.empty(n_rows)
+    active = range(n_rows)
+    n_panels = initial_panels  # every working row has split once per round
+    while True:
+        owners, los, his, working = [], [], [], []
+        for r in active:
+            heap = heaps[r]
+            total = math.fsum(item[4] for item in heap)
+            total_err = math.fsum(item[5] for item in heap)
+            target = max(abs_tol, rel_tol * abs(total))
+            if total_err <= target:
+                values[r], errors[r] = total, total_err
+                continue
+            if n_panels >= max_panels:
+                raise ConvergenceError(
+                    f"quadrature did not converge: {n_panels} panels, "
+                    f"abs err estimate {total_err:.3e} vs target {target:.3e}",
+                    total,
+                    total_err,
+                    row=r,
+                )
+            _, _, lo, hi, _, _ = heapq.heappop(heap)
+            mid = 0.5 * (lo + hi)
+            owners += (r, r)
+            los += (lo, mid)
+            his += (mid, hi)
+            working.append(r)
+        if not working:
+            return values, errors
+        for r, lo, hi, (val, err) in zip(owners, los, his, estimate(owners, los, his, 2)):
+            heapq.heappush(heaps[r], (-err, next(counter), lo, hi, val, err))
+        active = working
+        n_panels += 1
 
 
 def adaptive_gauss(
@@ -94,47 +199,23 @@ def adaptive_gauss(
 ) -> tuple[float, float]:
     """Integrate ``f`` over [a, b]; returns (value, abs error estimate).
 
-    ``f`` must accept a numpy array of abscissae and return the integrand
-    at each; it is called once for the initial panels and once per
-    bisection. Raises ConvergenceError if the panel budget runs out first.
+    The one-row case of ``adaptive_gauss_rows``: ``f`` must accept a flat
+    numpy array of abscissae and return the integrand at each; it is
+    called once for the initial panels and once per bisection. Raises
+    ConvergenceError if the panel budget runs out first.
     """
-    if not b > a:
-        raise ValueError("integration interval must have b > a")
-    edges = np.linspace(a, b, initial_panels + 1)
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    counter = 0
-    estimates = _panel_estimates(f, edges[:-1], edges[1:], n_low, n_high)
-    for lo, hi, (val, err) in zip(edges[:-1], edges[1:], estimates):
-        heap.append((-err, counter, lo, hi, val, err))
-        counter += 1
-    heapq.heapify(heap)
-
-    n_panels = initial_panels
-    while True:
-        total = math.fsum(item[4] for item in heap)
-        total_err = math.fsum(item[5] for item in heap)
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
-            break
-        if n_panels >= max_panels:
-            raise ConvergenceError(
-                f"quadrature did not converge: {n_panels} panels, "
-                f"abs err estimate {total_err:.3e} vs target "
-                f"{max(abs_tol, rel_tol * abs(total)):.3e}",
-                total,
-                total_err,
-            )
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        estimates = _panel_estimates(f, (lo, mid), (mid, hi), n_low, n_high)
-        for seg_lo, seg_hi, (val, err) in zip((lo, mid), (mid, hi), estimates):
-            heapq.heappush(heap, (-err, counter, seg_lo, seg_hi, val, err))
-            counter += 1
-        n_panels += 1
-
-    ordered = sorted(heap, key=lambda item: item[2])
-    value = math.fsum(item[4] for item in ordered)
-    err = math.fsum(item[5] for item in ordered)
-    return value, err
+    values, errors = adaptive_gauss_rows(
+        lambda x, rows: np.reshape(f(x.ravel()), x.shape),
+        a,
+        b,
+        rel_tol,
+        abs_tol,
+        max_panels,
+        n_low,
+        n_high,
+        initial_panels,
+    )
+    return float(values[0]), float(errors[0])
 
 
 @lru_cache(maxsize=16)
@@ -163,7 +244,8 @@ def cc_batch(
     ``f(phi)`` must return an array whose last axis matches ``phi``.
     Doubles the Clenshaw-Curtis order until the worst batch element moves
     by less than rel_tol of the largest magnitude; returns (values, max
-    abs change at the final doubling).
+    abs change at the final doubling). A ConvergenceError names as ``row``
+    the (flat) batch element with the largest last change.
     """
     n_half = min_half
     x, w = _cc_rule(n_half)
@@ -179,7 +261,8 @@ def cc_batch(
         fx_new[..., 1::2] = f(phi[1::2])
         fx = fx_new
         new_vals = 0.5 * np.pi * (fx @ w)
-        delta = float(np.max(np.abs(new_vals - vals)))
+        change = np.abs(new_vals - vals)
+        delta = float(np.max(change))
         vals = new_vals
         scale = float(np.max(np.abs(vals)))
         if delta <= rel_tol * scale or scale == 0.0:
@@ -191,4 +274,5 @@ def cc_batch(
                 f"{rel_tol * scale:.3e}",
                 float(vals.flat[0]) if vals.size else 0.0,
                 delta,
+                row=int(np.argmax(change)),
             )

@@ -112,6 +112,26 @@ def _positive_grid(spec, name: str) -> list[float]:
     return values
 
 
+def _field(kind: str, spec: dict, key: str, convert=float):
+    """spec[key] through convert; a value of the wrong type or form is a
+    ValueError that names the field (a missing key stays a KeyError)."""
+    value = spec[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} field {key!r} cannot take {value!r}") from None
+
+
+def _pairs(value) -> tuple[tuple[float, float], ...]:
+    return tuple((float(w), float(d)) for w, d in value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
 def build_atom(spec):
     """Atom model from a preset name or a config object."""
     if spec is None:
@@ -128,15 +148,13 @@ def build_atom(spec):
         raise ValueError(f"atom must be a preset name or an object, got {spec!r}")
     model = spec.get("model")
     if model == "static":
-        return StaticPolarizability(float(spec["alpha0_si"]))
+        return StaticPolarizability(_field("atom", spec, "alpha0_si"))
     if model == "single_oscillator":
         return SingleOscillatorPolarizability(
-            float(spec["alpha0_si"]), float(spec["omega_a_rad_s"])
+            _field("atom", spec, "alpha0_si"), _field("atom", spec, "omega_a_rad_s")
         )
     if model == "multilevel":
-        return MultilevelPolarizability(
-            tuple((float(w), float(d)) for w, d in spec["transitions"])
-        )
+        return MultilevelPolarizability(_field("atom", spec, "transitions", _pairs))
     raise ValueError(f"unknown atom model {model!r}")
 
 
@@ -159,12 +177,14 @@ def build_surface(spec):
         raise ValueError(f"surface must be a preset name or an object, got {spec!r}")
     model = spec.get("model")
     if model == "plasma":
-        return PlasmaMetal(float(spec["omega_p_rad_s"]))
+        return PlasmaMetal(_field("surface", spec, "omega_p_rad_s"))
     if model == "drude_lorentz":
-        return DrudeLorentz(float(spec["omega_dl_rad_s"]), float(spec["eps_static"]))
+        return DrudeLorentz(
+            _field("surface", spec, "omega_dl_rad_s"), _field("surface", spec, "eps_static")
+        )
     if model == "table":
         return read_imaginary_axis_csv(
-            spec["path"],
+            _field("surface", spec, "path", _text),
             extrapolate_low=spec.get("extrapolate_low", "strict"),
             extrapolate_high=spec.get("extrapolate_high", "strict"),
         )
@@ -206,7 +226,7 @@ def _build_probe(cfg: dict) -> BecProbeConfig:
     kwargs = {attr: getattr(base, attr) for attr in fields.values()}
     for key, attr in fields.items():
         if key in probe:
-            kwargs[attr] = float(probe[key])
+            kwargs[attr] = _field("probe", probe, key)
     return BecProbeConfig(**kwargs)
 
 
@@ -701,6 +721,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         where = f" in the {exc.layer} layer" if exc.layer else ""
         if exc.xi is not None:
             where += f" at xi={exc.xi:.6e} rad/s"
+        if exc.kp is not None:
+            where += f", k'={exc.kp:.6e} 1/m"
         print(f"error: quadrature did not converge{where} ({exc})", file=sys.stderr)
         return 3
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._integrate import adaptive_gauss
+from ._integrate import adaptive_gauss_rows
 from .constants import (
     C_LIGHT,
     GOLD_OMEGA_P,
@@ -263,22 +263,38 @@ class FresnelSet:
     kappa_t: object
 
 
-def fresnel(model, k, xi: float) -> FresnelSet:
+def fresnel(model, k, xi) -> FresnelSet:
     """Fresnel set at transverse wavenumber(s) k and imaginary frequency xi.
 
-    k may be a scalar or array (m^-1, >= 0); xi is a scalar (rad/s, >= 0);
-    k and xi must not both vanish.
+    k (m^-1) and xi (rad/s) are scalars or arrays that broadcast against
+    each other, all >= 0; k and xi must not both vanish at any element.
+    The result has the broadcast shape (floats when both are scalars). The
+    model permittivity is evaluated on xi's own shape before broadcasting,
+    so a column of xi against a k matrix costs one eps per row. (xi/c)^2
+    is taken with the same pow for array and scalar xi, so an array-xi
+    call matches scalar-xi calls bit for bit wherever the model's own
+    eps(xi) does.
     """
-    scalar = np.ndim(k) == 0
+    scalar_xi = np.ndim(xi) == 0
+    scalar = scalar_xi and np.ndim(k) == 0
     k = np.asarray(k, dtype=float)
-    if np.any(k < 0.0) or xi < 0.0:
+    if scalar_xi:
+        negative = xi < 0.0
+        both_zero = xi == 0.0 and np.any(k == 0.0)
+        xi_c2 = (xi / C_LIGHT) ** 2
+    else:
+        xi = np.asarray(xi, dtype=float)
+        negative = np.any(xi < 0.0)
+        both_zero = np.any((xi == 0.0) & (k == 0.0))
+        xi_c2 = np.float_power(xi / C_LIGHT, 2)
+    if negative or np.any(k < 0.0):
         raise ValueError("k and xi must be non-negative")
-    if xi == 0.0 and np.any(k == 0.0):
+    if both_zero:
         raise ValueError("k and xi must not both vanish")
-    kappa = np.sqrt((xi / C_LIGHT) ** 2 + k**2)
+    kappa = np.sqrt(xi_c2 + k**2)
 
     if getattr(model, "is_perfect", False):
-        shape = np.broadcast_shapes(k.shape)
+        shape = np.shape(kappa)
         minus = np.full(shape, -1.0)
         plus = np.full(shape, 1.0)
         zero = np.zeros(shape)
@@ -287,17 +303,22 @@ def fresnel(model, k, xi: float) -> FresnelSet:
     else:
         eps = model.eps(xi)
         kappa_t = np.sqrt(k**2 + model.eps_times_xi2(xi) / C_LIGHT**2)
-        if np.isinf(eps):
-            # Plasma-type model at xi = 0: TM saturates, TE stays partial.
-            r_te = (kappa - kappa_t) / (kappa + kappa_t)
-            r_tm = np.ones_like(kappa)
-            t_te = 2.0 * kappa / (kappa + kappa_t)
-            t_tm = np.zeros_like(kappa)
-        else:
-            r_te = (kappa - kappa_t) / (kappa + kappa_t)
+        r_te = (kappa - kappa_t) / (kappa + kappa_t)
+        t_te = 2.0 * kappa / (kappa + kappa_t)
+        if isinstance(eps, float) and not math.isinf(eps):
             r_tm = (eps * kappa - kappa_t) / (eps * kappa + kappa_t)
-            t_te = 2.0 * kappa / (kappa + kappa_t)
             t_tm = 2.0 * math.sqrt(eps) * kappa / (eps * kappa + kappa_t)
+        else:
+            # Plasma-type model at xi = 0 has eps = inf: TM saturates
+            # (r = 1, t = 0) while TE stays partial.
+            saturated = np.isinf(eps)
+            with np.errstate(invalid="ignore"):
+                r_tm = np.where(
+                    saturated, 1.0, (eps * kappa - kappa_t) / (eps * kappa + kappa_t)
+                )
+                t_tm = np.where(
+                    saturated, 0.0, 2.0 * np.sqrt(eps) * kappa / (eps * kappa + kappa_t)
+                )
         fs = FresnelSet(r_te, r_tm, t_te, t_tm, kappa, kappa_t)
     if scalar:
         return FresnelSet(*(float(np.asarray(v).reshape(())) for v in fs.__dict__.values()))
@@ -384,7 +405,9 @@ def kramers_kronig_imaginary_axis(
 
     The data segment is integrated adaptively in log omega, split at
     omega = xi; the Drude continuation below the data and the 1/omega^3
-    tail above it are added in closed form.
+    tail above it are added in closed form. The data integrals of every
+    (xi, segment) pair run as rows of one lock-step adaptive, so each
+    round evaluates the PCHIP interpolant once for all of them.
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(xi_arr < 0.0):
@@ -392,19 +415,27 @@ def kramers_kronig_imaginary_axis(
     omega = data.omega
     interp = PchipInterpolator(omega, data.eps_imag)
     t_lo, t_hi = math.log(omega[0]), math.log(omega[-1])
-    out = np.empty_like(xi_arr)
+    owner, los, his = [], [], []
     for i, x in enumerate(xi_arr):
-        def integrand(t: np.ndarray) -> np.ndarray:
-            w = np.exp(t)
-            return w**2 * interp(w) / (w**2 + x**2)
-
         splits = [t_lo, t_hi]
         if omega[0] < x < omega[-1]:
             splits = [t_lo, math.log(x), t_hi]
-        total = 0.0
         for lo, hi in zip(splits[:-1], splits[1:]):
-            val, _ = adaptive_gauss(integrand, lo, hi, rel_tol=rel_tol)
-            total += val
+            owner.append(i)
+            los.append(lo)
+            his.append(hi)
+    x2 = np.float_power(xi_arr[owner], 2)  # pow, as for a scalar xi
+
+    def integrand(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        w = np.exp(t)
+        return w**2 * interp(w) / (w**2 + x2[rows])
+
+    seg_vals, _ = adaptive_gauss_rows(integrand, los, his, rel_tol=rel_tol)
+    totals = [0.0] * xi_arr.size
+    for i, val in zip(owner, seg_vals.tolist()):
+        totals[i] += val
+    out = np.empty_like(xi_arr)
+    for i, (x, total) in enumerate(zip(xi_arr, totals)):
         if data.drude_omega_p is not None:
             total += _drude_segment(
                 omega[0], data.drude_omega_p, data.drude_gamma, float(x)

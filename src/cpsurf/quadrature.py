@@ -6,17 +6,21 @@ scales of the problem (xi_0 = c / z_A, k_0 = 1 / z_A):
 
     xi = xi_0 u / (1 - u),    k = k_0 v / (1 - v).
 
-The outer (frequency) integral is adaptive Gauss-Legendre over scalar
-nodes; the inner wavenumber integral is adaptive Gauss-Legendre evaluated
-on whole node batches (every panel of an adaptive step in one call); the
-angular integral of the response is nested Clenshaw-Curtis applied to all
+The outer (frequency) integral is adaptive Gauss-Legendre, each step
+evaluating every xi node of its panels in one call; the inner wavenumber
+integral is adaptive Gauss-Legendre evaluated on whole node batches
+(every panel of an adaptive step in one call). For the plane integrals
+the k' integrals of all xi nodes of an outer step run in lock-step as
+rows of one adaptive, with one Fresnel call (a xi column against the k
+matrix) per round; the response runs one k' adaptive per xi node, and
+its angular integral is nested Clenshaw-Curtis applied to all
 wavenumber nodes of a batch at once. The k' leg of the kernel (its
 Fresnel set, kappa' and the TM denominator) depends on k' only, so it is
 built once per k' column and broadcast against the k'' x angle grid.
 Inner tolerances are set below the requested one so the reported error,
 outer estimate plus a tolerance-sized pad, is trustworthy. A
-ConvergenceError names the layer that failed ("xi", "kprime" or "phi")
-and, for the inner two, the frequency node.
+ConvergenceError names the layer that failed ("xi", "kprime" or "phi"),
+for the inner two the frequency node, and for "phi" the k' node.
 
 Sign conventions: potentials and forces of an attractive interaction are
 negative; eta_f and rho are positive ratios.
@@ -31,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._integrate import ConvergenceError, adaptive_gauss, cc_batch
+from ._integrate import ConvergenceError, adaptive_gauss, adaptive_gauss_rows, cc_batch
 from .atomics import polarizability
 from .closedforms import f_cp0, rho_cp_perf
 from .constants import C_LIGHT, EPS0, HBAR
@@ -109,23 +113,24 @@ def _check_geometry(z_atom: float) -> None:
 
 
 @contextmanager
-def _layer(name: str, xi: float | None = None):
+def _layer(name: str, xi=None, kp=None):
     # The innermost failing rule is the one named; outer layers pass the
-    # error on unchanged.
+    # error on unchanged. xi and kp are the nodes the failing rule served:
+    # a scalar, or an array indexed by the error's row.
     try:
         yield
     except ConvergenceError as exc:
         if exc.layer is None:
-            exc.layer, exc.xi = name, xi
+            exc.layer = name
+            exc.xi = _node(xi, exc.row)
+            exc.kp = _node(kp, exc.row)
         raise
 
 
-def _plane_reflection_moment(surface, xi: float, k: np.ndarray) -> np.ndarray:
-    # Q = (xi^2/c^2)(r_TE - r_TM) - 2 k^2 r_TM; reduces to -2 kappa^2 for
-    # the ideal mirror. Negative for any passive surface.
-    fs = fresnel(surface, k, xi)
-    xi_c2 = (xi / C_LIGHT) ** 2
-    return xi_c2 * (fs.r_te - fs.r_tm) - 2.0 * k**2 * fs.r_tm
+def _node(nodes, row: int) -> float | None:
+    if nodes is None:
+        return None
+    return float(nodes if np.ndim(nodes) == 0 else np.ravel(nodes)[row])
 
 
 def _plane_integral(atom, surface, z_atom, settings, force: bool) -> IntegralResult:
@@ -134,37 +139,42 @@ def _plane_integral(atom, surface, z_atom, settings, force: bool) -> IntegralRes
     k0 = 1.0 / z_atom
     inner_tol = _INNER_FRAC_PLANE * settings.rel_tol
 
-    def inner(xi: float) -> float:
-        def f_k(v: np.ndarray) -> np.ndarray:
+    def inner(xi: np.ndarray) -> np.ndarray:
+        # The k' integrals of all xi nodes run as rows of one lock-step
+        # adaptive: each round evaluates every unconverged row's new
+        # panels in one array pass (one fresnel call with a xi column).
+        xi_c2 = np.float_power(xi / C_LIGHT, 2)
+
+        def f_k(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
             k = k0 * v / (1.0 - v)
             jac = k0 / (1.0 - v) ** 2
-            kappa = np.sqrt((xi / C_LIGHT) ** 2 + k**2)
+            kappa = np.sqrt(xi_c2[rows] + k**2)
             weight = k if force else k / (2.0 * kappa)
-            return (
-                jac
-                * weight
-                * np.exp(-2.0 * kappa * z_atom)
-                * _plane_reflection_moment(surface, xi, k)
-            )
+            # Q = (xi^2/c^2)(r_TE - r_TM) - 2 k^2 r_TM; reduces to
+            # -2 kappa^2 for the ideal mirror. Negative for any passive
+            # surface.
+            fs = fresnel(surface, k, xi[rows])
+            moment = xi_c2[rows] * (fs.r_te - fs.r_tm) - 2.0 * k**2 * fs.r_tm
+            return jac * weight * np.exp(-2.0 * kappa * z_atom) * moment
 
         with _layer("kprime", xi):
-            val, _ = adaptive_gauss(
+            vals, _ = adaptive_gauss_rows(
                 f_k,
-                0.0,
-                1.0,
+                np.zeros_like(xi),
+                np.ones_like(xi),
                 inner_tol,
                 max_panels=settings.max_panels,
                 initial_panels=settings.initial_panels,
             )
-        return val
+        return vals
 
     def outer(u: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            xi = xi0 * ui / (1.0 - ui)
-            jac = xi0 / (1.0 - ui) ** 2
-            out[i] = polarizability(atom, xi) * jac * inner(xi)
-        return out
+        # Squares of scalars are taken with pow (float_power), so each
+        # node gets the bits a per-node scalar evaluation would.
+        xi = xi0 * u / (1.0 - u)
+        jac = xi0 / np.float_power(1.0 - u, 2)
+        alpha = np.array([polarizability(atom, x) for x in xi])
+        return alpha * jac * inner(xi)
 
     with _layer("xi"):
         val, err = adaptive_gauss(
@@ -251,7 +261,7 @@ def response_g(
                     return a_perfect(point, z_atom)
                 return a_exact(point, z_atom)
 
-            with _layer("phi", xi):
+            with _layer("phi", xi, kp):
                 vals, _ = cc_batch(
                     f_phi,
                     angular_tol,

@@ -285,6 +285,33 @@ class TestExitCodes:
         assert "converge" in res.stderr
         assert "kprime layer at xi=" in res.stderr
 
+    def test_starved_angular_budget_names_xi_and_kprime(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"quadrature": {"angular_min_half": 2, "angular_max_half": 2}})
+        )
+        res = run_cli(
+            "response", "--config", str(path), "--atom", "rb87",
+            "--surface", "silicon", *FAST, "--z", "1e-6", "--kz", "3",
+        )
+        assert_clean_exit(res, 3)
+        assert "phi layer at xi=" in res.stderr
+        assert "k'=" in res.stderr
+
+    @pytest.mark.parametrize(
+        "key, spec, field",
+        [
+            ("atom", {"model": "multilevel", "transitions": 5}, "transitions"),
+            ("surface", {"model": "plasma", "omega_p_rad_s": [1]}, "omega_p_rad_s"),
+        ],
+    )
+    def test_malformed_field(self, tmp_path, key, spec, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: spec}))
+        res = run_cli("plane", "--config", str(path), "--z", "1e-6")
+        assert_clean_exit(res, 2)
+        assert field in res.stderr
+
     @pytest.mark.parametrize("key, spec", [("atom", 5), ("surface", [])])
     def test_spec_of_wrong_type(self, tmp_path, key, spec):
         path = tmp_path / "cfg.json"

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from cpsurf import _integrate
-from cpsurf._integrate import ConvergenceError, adaptive_gauss, cc_batch
+from cpsurf._integrate import (
+    ConvergenceError,
+    adaptive_gauss,
+    adaptive_gauss_rows,
+    cc_batch,
+)
 
 NODES_PER_PANEL = 8 + 16
 
@@ -77,8 +82,89 @@ class TestAdaptiveGauss:
         exc = info.value
         assert exc.value == pytest.approx(2.0 / 3.0, rel=1e-4)
         assert 0.0 < exc.achieved_abs_err < 1e-3
-        assert exc.layer is None and exc.xi is None
+        assert exc.layer is None and exc.xi is None and exc.kp is None
+        assert exc.row == 0
         assert len(f.sizes) == 1 + (10 - 4)
+
+
+# Row r integrates 1 / (x + c_r) over [A_r, B_r]: the pole distance c_r
+# sets how many bisections the row needs, so rows finish in different
+# rounds.
+POLES = np.array([1e-3, 0.3, 1e-2, 5.0, 1e-4])
+A = np.array([0.0, -0.2, 0.1, 1.0, 0.0])
+B = np.array([1.0, 0.4, 2.5, 3.0, 0.05])
+
+
+class RowRecorder:
+    """Row-aware integrand that records the shape of every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, x, rows):
+        self.calls.append((x.shape, rows.ravel().tolist()))
+        return 1.0 / (x + POLES[rows])
+
+
+class TestAdaptiveGaussRows:
+    def test_rows_match_one_row_integrals_bit_for_bit(self):
+        values, errors = adaptive_gauss_rows(RowRecorder(), A, B, 1e-12)
+        for r, (c, a, b) in enumerate(zip(POLES, A, B)):
+            alone = adaptive_gauss(lambda x: 1.0 / (x + c), a, b, 1e-12)
+            assert (values[r], errors[r]) == alone
+            assert values[r] == pytest.approx(math.log((b + c) / (a + c)), rel=1e-11)
+
+    def test_one_call_per_round(self, monkeypatch):
+        splits = []
+        pop = heapq.heappop
+
+        def counting_pop(heap):
+            splits.append(len(heap))
+            return pop(heap)
+
+        monkeypatch.setattr(_integrate.heapq, "heappop", counting_pop)
+        f = RowRecorder()
+        adaptive_gauss_rows(f, A, B, 1e-12, initial_panels=5)
+        (first_shape, first_rows), *rounds = f.calls
+        assert first_shape == (5, 5 * NODES_PER_PANEL)
+        assert first_rows == [0, 1, 2, 3, 4]
+        # Each later call carries one line of two new panels per row
+        # still working; rows drop out as they converge and never return.
+        assert len(rounds) > 1
+        working = [rows for _, rows in rounds]
+        assert all(shape == (len(rows), 2 * NODES_PER_PANEL) for (shape, rows) in rounds)
+        assert all(set(later) <= set(earlier) for earlier, later in zip(working, working[1:]))
+        assert len(set(map(len, working))) > 1
+        assert len(splits) == sum(map(len, working))
+
+    def test_scalar_bounds_broadcast_to_rows(self):
+        c = np.array([0.5, 2.0])
+        values, _ = adaptive_gauss_rows(
+            lambda x, rows: 1.0 / (x + c[rows]), np.zeros(2), 1.0, 1e-12
+        )
+        assert values == pytest.approx(np.log((1.0 + c) / c), rel=1e-12)
+
+    def test_budget_failure_names_lowest_failing_row(self):
+        # Rows 1 and 3 cannot meet 1e-15 in 6 panels; row 1 is named.
+        c = np.array([10.0, 1e-6, 20.0, 1e-7])
+        with pytest.raises(ConvergenceError) as info:
+            adaptive_gauss_rows(
+                lambda x, rows: 1.0 / (x + c[rows]), np.zeros(4), np.ones(4),
+                1e-15, max_panels=6,
+            )
+        exc = info.value
+        assert exc.row == 1
+        with pytest.raises(ConvergenceError) as alone:
+            adaptive_gauss(lambda x: 1.0 / (x + 1e-6), 0.0, 1.0, 1e-15, max_panels=6)
+        assert alone.value.row == 0
+        assert (exc.value, exc.achieved_abs_err) == (
+            alone.value.value,
+            alone.value.achieved_abs_err,
+        )
+
+    def test_rejects_empty_interval(self):
+        with pytest.raises(ValueError):
+            adaptive_gauss_rows(lambda x, rows: x, [0.0, 1.0], [1.0, 1.0], 1e-8)
 
 
 class TestCcBatch:
@@ -92,3 +178,10 @@ class TestCcBatch:
         vals, _ = cc_batch(lambda phi: np.sin(n * phi) ** 2, 1e-12)
         assert vals.shape == (4,)
         assert vals == pytest.approx(np.full(4, 0.5 * math.pi), rel=1e-12)
+
+    def test_failure_names_row_with_largest_change(self):
+        # sin(n phi)^2 needs more nodes as n grows; row 2 moves most.
+        n = np.array([1, 30, 60, 2])[:, None]
+        with pytest.raises(ConvergenceError) as info:
+            cc_batch(lambda phi: n * np.sin(n * phi) ** 2, 1e-12, max_half=16)
+        assert info.value.row == 2

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from cpsurf import optics
+from cpsurf._integrate import adaptive_gauss
 from cpsurf.constants import C_LIGHT, GOLD_OMEGA_P, SILICON_EPS_STATIC, SILICON_OMEGA_DL
 
 
@@ -100,6 +102,61 @@ class TestFresnel:
         fs_scalar = optics.fresnel(optics.gold_plasma(), 1e6, 2e15)
         assert fs.r_tm[1] == pytest.approx(fs_scalar.r_tm, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            optics.gold_plasma(),
+            optics.silicon_drude_lorentz(),
+            optics.PerfectConductor(),
+            optics.Vacuum(),
+            optics.TabulatedPermittivity(
+                np.geomspace(1e12, 1e18, 30),
+                1.0 + 10.0 / (1.0 + (np.geomspace(1e12, 1e18, 30) / 3e15) ** 2),
+                extrapolate_low="constant",
+                extrapolate_high="inverse_square",
+            ),
+        ],
+        ids=["plasma", "drude_lorentz", "perfect", "vacuum", "table"],
+    )
+    def test_array_xi_matches_scalar_calls(self, model):
+        rng = np.random.default_rng(11)
+        xi = np.concatenate(([0.0], 10.0 ** rng.uniform(10.0, 18.5, 40)))
+        k = 10.0 ** rng.uniform(2.0, 9.0, (xi.size, 6))
+        column = optics.fresnel(model, k, xi[:, None])
+        row = optics.fresnel(model, k[:, 0], xi)
+        for name in ("r_te", "r_tm", "t_te", "t_tm", "kappa", "kappa_t"):
+            got = getattr(column, name)
+            assert np.shape(got) == k.shape
+            assert np.shape(getattr(row, name)) == xi.shape
+            want = np.array(
+                [[getattr(optics.fresnel(model, kk, x), name) for kk in ks]
+                 for x, ks in zip(xi.tolist(), k.tolist())]
+            )
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite)
+            assert np.all(got[~finite] == want[~finite])
+            assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=0.0)
+            assert np.array_equal(getattr(row, name), got[:, 0], equal_nan=True)
+
+    def test_scalar_xi_keeps_the_scalar_formulas(self):
+        si = optics.silicon_drude_lorentz()
+        k, xi = 3.3e6, 2.1e15
+        fs = optics.fresnel(si, k, xi)
+        assert all(isinstance(v, float) for v in vars(fs).values())
+        eps = si.eps(xi)
+        kappa = math.sqrt((xi / C_LIGHT) ** 2 + k**2)
+        kappa_t = math.sqrt(k**2 + si.eps_times_xi2(xi) / C_LIGHT**2)
+        assert fs.kappa == kappa and fs.kappa_t == kappa_t
+        assert fs.r_te == (kappa - kappa_t) / (kappa + kappa_t)
+        assert fs.r_tm == (eps * kappa - kappa_t) / (eps * kappa + kappa_t)
+        assert fs.t_tm == 2.0 * math.sqrt(eps) * kappa / (eps * kappa + kappa_t)
+
+    def test_array_xi_rejects_negative_element(self):
+        with pytest.raises(ValueError):
+            optics.fresnel(optics.gold_plasma(), 1e6, np.array([1e15, -1e15]))
+        with pytest.raises(ValueError):
+            optics.fresnel(optics.gold_plasma(), np.array([0.0, 1e6]), np.array([0.0, 1e15]))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             optics.fresnel(optics.gold_plasma(), -1.0, 1e15)
@@ -176,6 +233,30 @@ class TestKramersKronig:
         got = optics.kramers_kronig_imaginary_axis(data, xi)
         want = 1.0 + wp**2 / (xi * (xi + gamma))
         assert np.max(np.abs(got / want - 1.0)) < 1e-6
+
+    def test_lock_step_equals_per_xi_segment_loop(self):
+        # One adaptive per xi and data segment, split at omega = xi, plus
+        # the closed-form tail: the scalar form of the transform.
+        data, omega0, _, _ = _lorentzian_table(n=700)
+        xi = np.array([0.0, omega0 / 500.0, omega0 / 3.0, omega0, 7.0 * omega0, 1e3 * omega0])
+        interp = PchipInterpolator(data.omega, data.eps_imag)
+        t_lo, t_hi = math.log(data.omega[0]), math.log(data.omega[-1])
+        want = []
+        for x in xi:
+            splits = [t_lo, t_hi]
+            if data.omega[0] < x < data.omega[-1]:
+                splits = [t_lo, math.log(x), t_hi]
+            total = 0.0
+            for lo, hi in zip(splits[:-1], splits[1:]):
+                total += adaptive_gauss(
+                    lambda t: np.exp(t) ** 2 * interp(np.exp(t)) / (np.exp(t) ** 2 + x**2),
+                    lo, hi, rel_tol=1e-8,
+                )[0]
+            total += optics._tail_segment(data.omega[-1], float(data.eps_imag[-1]), float(x))
+            want.append(1.0 + (2.0 / math.pi) * total)
+        got = optics.kramers_kronig_imaginary_axis(data, xi)
+        assert got.tolist() == want
+        assert [optics.kramers_kronig_imaginary_axis(data, x) for x in xi] == want
 
     def test_zero_absorption_gives_unity(self):
         data = optics.RealAxisOpticalData(

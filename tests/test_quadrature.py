@@ -4,8 +4,46 @@ import numpy as np
 import pytest
 
 from cpsurf import closedforms as cf, quadrature as quad
-from cpsurf.atomics import StaticPolarizability
+from cpsurf._integrate import adaptive_gauss
+from cpsurf.atomics import StaticPolarizability, polarizability
+from cpsurf.constants import C_LIGHT
+from cpsurf.optics import fresnel
 from cpsurf.quadrature import IntegralResult, QuadratureSettings
+
+
+def plane_per_xi_reference(atom, surface, z, settings, force):
+    """The plane integral as a scalar loop: one k' adaptive per xi node."""
+    xi0, k0 = C_LIGHT / z, 1.0 / z
+
+    def inner(xi):
+        def f_k(v):
+            k = k0 * v / (1.0 - v)
+            jac = k0 / (1.0 - v) ** 2
+            kappa = np.sqrt((xi / C_LIGHT) ** 2 + k**2)
+            weight = k if force else k / (2.0 * kappa)
+            fs = fresnel(surface, k, xi)
+            moment = (xi / C_LIGHT) ** 2 * (fs.r_te - fs.r_tm) - 2.0 * k**2 * fs.r_tm
+            return jac * weight * np.exp(-2.0 * kappa * z) * moment
+
+        return adaptive_gauss(
+            f_k, 0.0, 1.0, quad._INNER_FRAC_PLANE * settings.rel_tol,
+            max_panels=settings.max_panels, initial_panels=settings.initial_panels,
+        )[0]
+
+    def outer(u):
+        out = np.empty_like(u)
+        for i, ui in enumerate(u):
+            xi = xi0 * ui / (1.0 - ui)
+            jac = xi0 / (1.0 - ui) ** 2
+            out[i] = polarizability(atom, xi) * jac * inner(xi)
+        return out
+
+    val, err = adaptive_gauss(
+        outer, 0.0, 1.0, quad._OUTER_FRAC * settings.rel_tol,
+        max_panels=settings.max_panels, initial_panels=settings.initial_panels,
+    )
+    value = quad._PREF_PLANE * val
+    return value, quad._PREF_PLANE * err + quad._REPORT_PAD * settings.rel_tol * abs(value)
 
 
 class TestSettings:
@@ -77,6 +115,31 @@ class TestPlaneIntegrals:
         z = 2e-9
         u = quad.plane_potential(osc_rb, gold, z, QuadratureSettings(rel_tol=1e-7))
         assert u.value == pytest.approx(-c3 / z**3, rel=5e-3)
+
+    @pytest.mark.parametrize("surface_name", ["gold", "silicon", "mirror"])
+    @pytest.mark.parametrize("force", [False, True])
+    def test_lock_step_equals_per_xi_loop(self, request, osc_rb, surface_name, force):
+        # Lock-step rows change how the k' integrals are scheduled, not
+        # what any of them computes: every (value, error) bit must match.
+        surface = request.getfixturevalue(surface_name)
+        s = QuadratureSettings(rel_tol=1e-7)
+        integral = quad.plane_force if force else quad.plane_potential
+        for z in (3e-8, 1.1e-6):
+            got = integral(osc_rb, surface, z, s)
+            assert (got.value, got.error) == plane_per_xi_reference(
+                osc_rb, surface, z, s, force
+            )
+
+    def test_starved_inner_layer_names_its_xi(self, osc_rb, gold):
+        starved = QuadratureSettings(rel_tol=1e-13, max_panels=4)
+        with pytest.raises(quad.ConvergenceError) as info:
+            quad.plane_force(osc_rb, gold, 1e-6, starved)
+        exc = info.value
+        assert exc.layer == "kprime" and exc.kp is None
+        # No row can converge in 4 panels, so the failing row is row 0:
+        # the lowest 16-point node of the first outer panel [0, 1/4].
+        u = 0.125 + 0.125 * np.polynomial.legendre.leggauss(16)[0][0]
+        assert exc.xi == pytest.approx((C_LIGHT / 1e-6) * u / (1.0 - u), rel=1e-12)
 
     def test_validation(self, static_rb, mirror, settings):
         with pytest.raises(ValueError):
@@ -151,6 +214,10 @@ class TestResponse:
             quad.response_g(osc_rb, silicon, 1e-6, 3e6, starved)
         assert info.value.layer == layer
         assert info.value.xi > 0.0
+        if layer == "phi":
+            assert info.value.kp > 0.0
+        else:
+            assert info.value.kp is None
 
     def test_validation(self, static_rb, mirror, settings):
         with pytest.raises(ValueError):
