@@ -84,7 +84,10 @@ def _pick(flag_value, cfg: dict, key: str, default=None):
 def _parse_grid(spec) -> list[float]:
     """Grid from a JSON list or a string: 'a,b,c', 'lin:a:b:n', 'log:a:b:n'."""
     if isinstance(spec, (list, tuple)):
-        values = [float(v) for v in spec]
+        try:
+            values = [float(v) for v in spec]
+        except TypeError:
+            raise ValueError(f"grid entries must be numbers, got {spec!r}") from None
     else:
         text = str(spec).strip()
         if text.startswith(("lin:", "log:")):
@@ -120,6 +123,25 @@ def _field(kind: str, spec: dict, key: str, convert=float):
         return convert(value)
     except (TypeError, ValueError):
         raise ValueError(f"{kind} field {key!r} cannot take {value!r}") from None
+
+
+def _section(cfg: dict, key: str) -> dict:
+    """A copy of the config object under key ({} when absent)."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config {key!r} must be an object, got {section!r}")
+    return dict(section)
+
+
+def _whole(value) -> int:
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError("not a whole number")
+    return int(number)
+
+
+def _vector(value) -> tuple[float, ...]:
+    return tuple(float(v) for v in value)
 
 
 def _pairs(value) -> tuple[tuple[float, float], ...]:
@@ -191,26 +213,30 @@ def build_surface(spec):
     raise ValueError(f"unknown surface model {model!r}")
 
 
+_SETTING_TYPES = {
+    "rel_tol": float,
+    "max_panels": _whole,
+    "initial_panels": _whole,
+    "angular_min_half": _whole,
+    "angular_max_half": _whole,
+    "kz_cutoff": float,
+}
+
+
 def build_settings(args, cfg: dict) -> QuadratureSettings:
-    quad = dict(cfg.get("quadrature", {}))
+    quad = _section(cfg, "quadrature")
     if getattr(args, "rel_tol", None) is not None:
         quad["rel_tol"] = args.rel_tol
-    allowed = {
-        "rel_tol",
-        "max_panels",
-        "initial_panels",
-        "angular_min_half",
-        "angular_max_half",
-        "kz_cutoff",
-    }
-    unknown = set(quad) - allowed
+    unknown = set(quad) - set(_SETTING_TYPES)
     if unknown:
         raise ValueError(f"unknown quadrature settings: {sorted(unknown)}")
-    return QuadratureSettings(**quad)
+    return QuadratureSettings(
+        **{key: _field("quadrature", quad, key, _SETTING_TYPES[key]) for key in quad}
+    )
 
 
 def _build_probe(cfg: dict) -> BecProbeConfig:
-    probe = dict(cfg.get("probe", {}))
+    probe = _section(cfg, "probe")
     base = rb87_bec_probe()
     fields = {
         "omega_tr_rad_s": "omega_tr",
@@ -483,22 +509,40 @@ def cmd_corrugation(args) -> int:
         raise ValueError("corrugation: exactly one z_a_m value")
     z = z_grid[0]
 
-    corr = dict(cfg.get("corrugation", {}))
-    h0 = float(_pick(args.h0, corr, "h0_m", 100e-9))
-    lam = _pick(args.lambda_c, corr, "lambda_m")
-    k_c = _pick(args.k_c, corr, "k_c_1_per_m")
+    # Defaults, then the config's corrugation object, then flags.
+    corr = {"h0_m": 100e-9, "phase_rad": 0.0, "direction": (1.0, 0.0), "x_points": 9}
+    corr.update(_section(cfg, "corrugation"))
+    flags = {
+        "h0_m": args.h0,
+        "lambda_m": args.lambda_c,
+        "k_c_1_per_m": args.k_c,
+        "phase_rad": args.phase,
+        "x_m": args.x,
+        "x_points": args.x_points,
+    }
+    corr.update((key, value) for key, value in flags.items() if value is not None)
+    lam, k_c = corr.get("lambda_m"), corr.get("k_c_1_per_m")
     if (lam is None) == (k_c is None):
         raise ValueError("corrugation: give exactly one of lambda_m, k_c_1_per_m")
-    k_c = TWO_PI / float(lam) if lam is not None else float(k_c)
-    phase = float(_pick(args.phase, corr, "phase_rad", 0.0))
-    direction = tuple(corr.get("direction", (1.0, 0.0)))
-    profile = Sinusoid(h0=h0, k_c=k_c, phase=phase, direction=direction)
+    if lam is not None:
+        lam = _field("corrugation", corr, "lambda_m")
+        if not lam > 0.0:
+            raise ValueError("corrugation: lambda_m must be positive")
+        k_c = TWO_PI / lam
+    else:
+        k_c = _field("corrugation", corr, "k_c_1_per_m")
+    profile = Sinusoid(
+        h0=_field("corrugation", corr, "h0_m"),
+        k_c=k_c,
+        phase=_field("corrugation", corr, "phase_rad"),
+        direction=_field("corrugation", corr, "direction", _vector),
+    )
 
-    x_spec = _pick(args.x, corr, "x_m")
+    x_spec = corr.get("x_m")
     if x_spec is not None:
         x_grid = _parse_grid(x_spec)
     else:
-        n = int(_pick(args.x_points, corr, "x_points", 9))
+        n = _field("corrugation", corr, "x_points", _whole)
         if n < 1:
             raise ValueError("x_points must be >= 1")
         period = TWO_PI / k_c if k_c > 0.0 else 0.0

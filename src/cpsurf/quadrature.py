@@ -6,10 +6,11 @@ scales of the problem (xi_0 = c / z_A, k_0 = 1 / z_A):
 
     xi = xi_0 u / (1 - u),    k = k_0 v / (1 - v).
 
-The outer (frequency) integral is adaptive Gauss-Legendre, each step
-evaluating every xi node of its panels in one call; the inner wavenumber
-integral is adaptive Gauss-Legendre evaluated on whole node batches
-(every panel of an adaptive step in one call). For the plane integrals
+The outer (frequency) integral is adaptive Gauss-Kronrod (G8/K17: 17
+integrand points per panel, the error estimate from the embedded 8-point
+Gauss rule), each step evaluating every xi node of its panels in one
+call; the inner wavenumber integral is the same adaptive rule evaluated
+on whole node batches (every panel of an adaptive step in one call). For the plane integrals
 the k' integrals of all xi nodes of an outer step run in lock-step as
 rows of one adaptive, with one Fresnel call (a xi column against the k
 matrix) per round; the response runs one k' adaptive per xi node, and

@@ -3,6 +3,8 @@ library: it wraps entry points by name and binds their signatures, so a
 renamed or re-shaped layer would break traced runs without this check."""
 
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,11 @@ import pytest
 from cpsurf import quadrature as quad
 from cpsurf.quadrature import QuadratureSettings
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+# Taken by bench/run.py from the process and the traced pass as a whole,
+# not from the tracer's layer counts.
+RUN_LEVEL = {"process.cpu_s", "trace.overhead_frac"}
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +41,11 @@ def test_traced_integrals_count_every_layer(tracing, osc_rb, silicon):
     assert tracer.counts["kernel.points"] > 0
     assert tracer.counts["quadrature.xi_nodes"] > plane_counts["quadrature.xi_nodes"]
     assert quad.adaptive_gauss is tracing._integrate.adaptive_gauss
+
+    metrics = tracer.layer_metrics()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    for name in (m["name"] for m in declared if m["name"] not in RUN_LEVEL):
+        assert math.isfinite(metrics[name]), name
+    # Every adaptive panel hands the integrand the 17 G8/K17 nodes.
+    gl_nodes = metrics["integrate.gl_nodes"]
+    assert gl_nodes > 0 and gl_nodes % 17 == 0

@@ -312,6 +312,29 @@ class TestExitCodes:
         assert_clean_exit(res, 2)
         assert field in res.stderr
 
+    @pytest.mark.parametrize(
+        "command, cfg, field",
+        [
+            ("plane", {"quadrature": {"rel_tol": "x"}}, "rel_tol"),
+            ("plane", {"quadrature": {"max_panels": 4.5}}, "max_panels"),
+            ("plane", {"quadrature": 5}, "quadrature"),
+            ("corrugation", {"corrugation": {"h0_m": [1], "lambda_m": 1e-5}}, "h0_m"),
+            ("corrugation", {"corrugation": {"lambda_m": "far"}}, "lambda_m"),
+            ("corrugation", {"corrugation": {"lambda_m": 0}}, "lambda_m"),
+            ("corrugation", {"corrugation": {"k_c_1_per_m": {}}}, "k_c_1_per_m"),
+            ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "phase_rad": [0]}}, "phase_rad"),
+            ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "direction": 1}}, "direction"),
+            ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "x_points": [3]}}, "x_points"),
+            ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "x_m": [[0]]}}, "grid"),
+        ],
+    )
+    def test_malformed_setting(self, tmp_path, command, cfg, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = run_cli(command, "--config", str(path), *STATIC_MIRROR, "--z", "2e-6")
+        assert_clean_exit(res, 2)
+        assert field in res.stderr
+
     @pytest.mark.parametrize("key, spec", [("atom", 5), ("surface", [])])
     def test_spec_of_wrong_type(self, tmp_path, key, spec):
         path = tmp_path / "cfg.json"

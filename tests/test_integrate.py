@@ -12,7 +12,7 @@ from cpsurf._integrate import (
     cc_batch,
 )
 
-NODES_PER_PANEL = 8 + 16
+NODES_PER_PANEL = 17  # G8/K17: the Kronrod nodes embed the 8 Gauss nodes
 
 
 class Recorder:
@@ -27,14 +27,82 @@ class Recorder:
         return self.fn(x)
 
 
-def reference_estimate(f, a, b, n_low=8, n_high=16):
+def reference_estimate(f, a, b, n_high=17):
     # One panel, one rule per call: the unbatched form of the estimate.
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x_lo, w_lo = np.polynomial.legendre.leggauss(n_low)
-    x_hi, w_hi = np.polynomial.legendre.leggauss(n_high)
-    i_lo = half * float(np.dot(w_lo, f(mid + half * x_lo)))
-    i_hi = half * float(np.dot(w_hi, f(mid + half * x_hi)))
-    return i_hi, abs(i_hi - i_lo)
+    nodes, w_k, w_g = _integrate._gauss_kronrod(n_high)
+    x_g, w_g8 = np.polynomial.legendre.leggauss((n_high - 1) // 2)
+    assert np.array_equal(w_g.ravel(), w_g8)
+    i_k = half * float(np.dot(w_k.ravel(), f(mid + half * nodes)))
+    i_g = half * float(np.dot(w_g8, f(mid + half * x_g)))
+    return i_k, abs(i_k - i_g)
+
+
+def _shifted_moment(degree, shift=0.3):
+    # int_{-1}^{1} (x + shift)^d dx; the shift keeps odd degrees from being
+    # exact by symmetry alone.
+    return ((1.0 + shift) ** (degree + 1) - (shift - 1.0) ** (degree + 1)) / (degree + 1)
+
+
+class TestGaussKronrodRule:
+    def test_layout(self):
+        nodes, w_k, w_g = _integrate._gauss_kronrod(17)
+        assert nodes.shape == (17,) and w_k.shape == (17, 1) and w_g.shape == (8, 1)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(w_k, w_k[::-1])
+        x_g, w_g8 = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(nodes[1::2], x_g)
+        assert np.array_equal(w_g.ravel(), w_g8)
+        assert np.all(w_k > 0.0)
+        assert -1.0 < nodes[0] and nodes[-1] < 1.0
+
+    def test_kronrod_exact_through_degree_25_and_gauss_through_15(self):
+        nodes, w_k, w_g = _integrate._gauss_kronrod(17)
+        k_err = []
+        g_err = []
+        for degree in range(27):
+            exact = _shifted_moment(degree)
+            k_sum = float(np.dot(w_k.ravel(), (nodes + 0.3) ** degree))
+            g_sum = float(np.dot(w_g.ravel(), (nodes[1::2] + 0.3) ** degree))
+            k_err.append(abs(k_sum - exact) / exact)
+            g_err.append(abs(g_sum - exact) / exact)
+        assert max(k_err[:26]) < 1e-14
+        assert k_err[26] > 1e-12
+        assert max(g_err[:16]) < 1e-14
+        assert g_err[16] > 1e-8
+
+    def test_g7k15_matches_quadpack(self):
+        # The 15-point rule of QUADPACK's dqk15 (Piessens et al., 1983),
+        # tabulated to 33 digits: abscissae from -1 up to the centre.
+        xgk = [
+            0.991455371120812639206854697526329,
+            0.949107912342758524526189684047851,
+            0.864864423359769072789712788640926,
+            0.741531185599394439863864773280788,
+            0.586087235467691130294144845693013,
+            0.405845151377397166906606412076961,
+            0.207784955007898467600689403773245,
+            0.0,
+        ]
+        wgk = [
+            0.022935322010529224963732008058970,
+            0.063092092629978553290700663189204,
+            0.104790010322250183839876322541518,
+            0.140653259715525918745189590510238,
+            0.169004726639267902826583426598550,
+            0.190350578064785409913256402421014,
+            0.204432940075298892414161999234649,
+            0.209482141084727828012999174891714,
+        ]
+        nodes, w_k, _ = _integrate._gauss_kronrod(15)
+        assert nodes[:8] == pytest.approx(-np.array(xgk), abs=4e-16)
+        assert w_k.ravel()[:8] == pytest.approx(wgk, rel=4e-15)
+
+    @pytest.mark.parametrize("n_high", [16, 1, 0])
+    def test_rejects_even_or_empty_rule(self, n_high):
+        with pytest.raises(ValueError):
+            _integrate._gauss_kronrod(n_high)
 
 
 class TestAdaptiveGauss:
@@ -72,7 +140,7 @@ class TestAdaptiveGauss:
         def f(x):
             return np.exp(-3.0 * x) * np.sin(7.0 * x) + np.sqrt(x)
 
-        batched = _integrate._panel_estimates(f, los, his, 8, 16)
+        batched = _integrate._panel_estimates(f, los, his, 17)
         assert batched == [reference_estimate(f, a, b) for a, b in zip(los, his)]
 
     def test_starved_budget_raises_with_progress(self):
