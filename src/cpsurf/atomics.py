@@ -1,9 +1,7 @@
-"""Atomic response: polarizability models and atom-side reflection elements.
+"""Atomic response: dynamic polarizability models.
 
-The atom enters the scattering problem twice: through its dynamic electric
-polarizability alpha(i xi) (SI units, C m^2 / V) and through the matrix
-element describing one reflection of a vacuum mode off the atom. The
-magnetic counterpart, driven by beta(i xi), is included for completeness.
+The atom enters the interaction through its dynamic electric
+polarizability alpha(i xi) at imaginary frequency (SI units, C m^2 / V).
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .constants import C_LIGHT, EPS0, HBAR, RB87_ALPHA0_VOLUME, RB87_OMEGA_A
+from .constants import EPS0, HBAR, RB87_ALPHA0_VOLUME, RB87_OMEGA_A
 
 __all__ = [
     "Transition",
@@ -25,10 +23,6 @@ __all__ = [
     "TabulatedPolarizability",
     "polarizability",
     "transitions_for_vdw",
-    "polarization_vector",
-    "complex_wavevector",
-    "electric_reflection_element",
-    "magnetic_reflection_element",
     "rubidium_single_oscillator",
 ]
 
@@ -49,6 +43,8 @@ class StaticPolarizability:
     alpha0: float
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha0):
+            raise ValueError("alpha0 must be finite")
         if not self.alpha0 > 0.0:
             raise ValueError("alpha0 must be positive")
 
@@ -64,6 +60,9 @@ class SingleOscillatorPolarizability:
     omega_a: float
 
     def __post_init__(self):
+        for name in ("alpha0", "omega_a"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.alpha0 > 0.0 and self.omega_a > 0.0):
             raise ValueError("alpha0 and omega_a must be positive")
 
@@ -88,6 +87,8 @@ class MultilevelPolarizability:
         if not transitions:
             raise ValueError("need at least one transition")
         for t in transitions:
+            if not (math.isfinite(t.omega) and math.isfinite(t.dipole)):
+                raise ValueError("transition frequencies and dipoles must be finite")
             if not (t.omega > 0.0 and t.dipole > 0.0):
                 raise ValueError("transition frequencies and dipoles must be positive")
 
@@ -147,124 +148,6 @@ def transitions_for_vdw(model) -> tuple[Transition, ...]:
     raise ValueError(
         f"{type(model).__name__} has no transition decomposition"
     )
-
-
-def _unit_tangential(k_vec: np.ndarray) -> tuple[np.ndarray, float]:
-    k_vec = np.asarray(k_vec, dtype=float)
-    if k_vec.shape != (2,):
-        raise ValueError("k must be a 2-vector (kx, ky)")
-    k = float(np.hypot(k_vec[0], k_vec[1]))
-    if k == 0.0:
-        raise ValueError("polarization vectors need |k| > 0")
-    return k_vec / k, k
-
-
-def complex_wavevector(k_vec: np.ndarray, xi: float, updown: int) -> np.ndarray:
-    """K^+- = (kx, ky, +-i kappa) continued to omega = i xi."""
-    k_vec = np.asarray(k_vec, dtype=float)
-    k = float(np.hypot(k_vec[0], k_vec[1]))
-    kappa = math.sqrt((xi / C_LIGHT) ** 2 + k**2)
-    return np.array([k_vec[0], k_vec[1], 1j * updown * kappa], dtype=complex)
-
-
-def polarization_vector(pol: str, k_vec: np.ndarray, xi: float, updown: int) -> np.ndarray:
-    """TE/TM unit polarization for the up (+1) or down (-1) going mode.
-
-    TE is z x k_hat; TM is (c / i xi) (-k z_hat +- i kappa k_hat). Both are
-    the standard analytic continuations to omega = i xi, xi > 0.
-    """
-    if updown not in (+1, -1):
-        raise ValueError("updown must be +1 or -1")
-    k_hat, k = _unit_tangential(k_vec)
-    if pol == "TE":
-        return np.array([-k_hat[1], k_hat[0], 0.0], dtype=complex)
-    if pol != "TM":
-        raise ValueError(f"unknown polarization {pol!r}")
-    if xi <= 0.0:
-        raise ValueError("TM polarization vector needs xi > 0")
-    kappa = math.sqrt((xi / C_LIGHT) ** 2 + k**2)
-    vec = np.zeros(3, dtype=complex)
-    vec[:2] = updown * (C_LIGHT * kappa / xi) * k_hat
-    vec[2] = 1j * C_LIGHT * k / xi
-    return vec
-
-
-def _displacement_phase(
-    k_vec: np.ndarray, kp_vec: np.ndarray, kappa: float, kappa_p: float,
-    r_atom: np.ndarray, z_atom: float,
-) -> complex:
-    dk = np.asarray(k_vec, dtype=float) - np.asarray(kp_vec, dtype=float)
-    r_atom = np.asarray(r_atom, dtype=float)
-    return np.exp(-1j * (dk @ r_atom)) * math.exp(-(kappa + kappa_p) * z_atom)
-
-
-def electric_reflection_element(
-    atom,
-    xi: float,
-    k_vec: np.ndarray,
-    pol: str,
-    kp_vec: np.ndarray,
-    pol_p: str,
-    r_atom: np.ndarray = (0.0, 0.0),
-    z_atom: float = 0.0,
-) -> complex:
-    """One electric-dipole reflection of mode (k', p') into (k, p).
-
-    -(xi^2 / 2 kappa) (alpha(i xi) / eps0 c^2)
-      [eps_hat^-_p(k) . eps_hat^+_p'(k')] e^{-i(k - k').r_A} e^{-(kappa + kappa') z_A}
-
-    Value carries the (2 pi)^-2 d^2k measure convention (units m^2).
-    """
-    if xi <= 0.0:
-        raise ValueError("xi must be positive")
-    if z_atom < 0.0:
-        raise ValueError("z_atom must be non-negative")
-    _, k = _unit_tangential(k_vec)
-    _, kp = _unit_tangential(kp_vec)
-    kappa = math.sqrt((xi / C_LIGHT) ** 2 + k**2)
-    kappa_p = math.sqrt((xi / C_LIGHT) ** 2 + kp**2)
-    dot = polarization_vector(pol, k_vec, xi, -1) @ polarization_vector(
-        pol_p, kp_vec, xi, +1
-    )
-    pref = -(xi**2 / (2.0 * kappa)) * atom.alpha(xi) / (EPS0 * C_LIGHT**2)
-    return pref * dot * _displacement_phase(k_vec, kp_vec, kappa, kappa_p, r_atom, z_atom)
-
-
-def magnetic_reflection_element(
-    beta,
-    xi: float,
-    k_vec: np.ndarray,
-    pol: str,
-    kp_vec: np.ndarray,
-    pol_p: str,
-    r_atom: np.ndarray = (0.0, 0.0),
-    z_atom: float = 0.0,
-) -> complex:
-    """Magnetic-dipole analogue of the electric reflection element.
-
-    -(beta(i xi) / 2 kappa)
-      eps_hat^-_p(k) . [K^- x (K'^+ x eps_hat^+_p'(k'))]
-      e^{-i(k - k').r_A} e^{-(kappa + kappa') z_A}
-
-    ``beta`` is either a constant (m^3-like SI magnetic polarizability)
-    or a callable beta(xi).
-    """
-    if xi <= 0.0:
-        raise ValueError("xi must be positive")
-    if z_atom < 0.0:
-        raise ValueError("z_atom must be non-negative")
-    beta_val = beta(xi) if callable(beta) else float(beta)
-    _, k = _unit_tangential(k_vec)
-    _, kp = _unit_tangential(kp_vec)
-    kappa = math.sqrt((xi / C_LIGHT) ** 2 + k**2)
-    kappa_p = math.sqrt((xi / C_LIGHT) ** 2 + kp**2)
-    k_minus = complex_wavevector(k_vec, xi, -1)
-    kp_plus = complex_wavevector(kp_vec, xi, +1)
-    eps_in = polarization_vector(pol_p, kp_vec, xi, +1)
-    eps_out = polarization_vector(pol, k_vec, xi, -1)
-    triple = eps_out @ np.cross(k_minus, np.cross(kp_plus, eps_in))
-    pref = -beta_val / (2.0 * kappa)
-    return pref * triple * _displacement_phase(k_vec, kp_vec, kappa, kappa_p, r_atom, z_atom)
 
 
 def rubidium_single_oscillator() -> SingleOscillatorPolarizability:

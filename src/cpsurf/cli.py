@@ -7,13 +7,19 @@ command-line flags override config keys. All numeric output uses
 identical configs produce byte-identical files. Grid points run one after
 another in grid order; no environment variable changes the output.
 
-Exit codes: 0 success, 2 validation error, 3 quadrature non-convergence.
+The sweep subcommands share one setup (_Sweep: config, models, settings,
+z grid, CSV writer) and two loops: over z_A (plane, eta) and over
+z_A x k (response, rho); corrugation uses the same setup.
+
+Exit codes: 0 success, 2 validation error (also for inputs that put the
+arithmetic out of floating-point range), 3 quadrature non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -81,18 +87,24 @@ def _pick(flag_value, cfg: dict, key: str, default=None):
     return cfg.get(key, default)
 
 
-def _parse_grid(spec) -> list[float]:
-    """Grid from a JSON list or a string: 'a,b,c', 'lin:a:b:n', 'log:a:b:n'."""
+def _parse_grid(spec, name: str) -> list[float]:
+    """Grid from a JSON list or a string: 'a,b,c', 'lin:a:b:n', 'log:a:b:n'.
+
+    name is the grid's config key; a non-finite value is rejected with it.
+    """
     if isinstance(spec, (list, tuple)):
         try:
             values = [float(v) for v in spec]
         except TypeError:
             raise ValueError(f"grid entries must be numbers, got {spec!r}") from None
+        except OverflowError:
+            raise ValueError(f"{name} grid values must be finite") from None
     else:
         text = str(spec).strip()
         if text.startswith(("lin:", "log:")):
             kind, lo, hi, n = text.split(":")
             lo, hi, n = float(lo), float(hi), int(n)
+            _require_finite([lo, hi], name)
             if n < 1:
                 raise ValueError("grid needs at least one point")
             if kind == "log":
@@ -105,11 +117,17 @@ def _parse_grid(spec) -> list[float]:
             values = [float(v) for v in text.split(",") if v.strip()]
     if not values:
         raise ValueError("empty grid")
+    _require_finite(values, name)
     return [float(v) for v in values]
 
 
+def _require_finite(values, name: str) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} grid values must be finite")
+
+
 def _positive_grid(spec, name: str) -> list[float]:
-    values = _parse_grid(spec)
+    values = _parse_grid(spec, name)
     if any(not v > 0.0 for v in values):
         raise ValueError(f"{name} grid values must be positive")
     return values
@@ -121,7 +139,7 @@ def _field(kind: str, spec: dict, key: str, convert=float):
     value = spec[key]
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{kind} field {key!r} cannot take {value!r}") from None
 
 
@@ -257,98 +275,79 @@ def _build_probe(cfg: dict) -> BecProbeConfig:
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# the sweep core
 
 
-def _header_lines(atom_spec, surface_spec, settings: QuadratureSettings) -> list[str]:
-    lines = [f"{key}={value:.12e}" for key, value in constants_header_fields().items()]
-    lines.append(f"atom={json.dumps(atom_spec, sort_keys=True)}")
-    lines.append(f"surface={json.dumps(surface_spec, sort_keys=True)}")
-    lines.append(f"rel_tol={settings.rel_tol:.3e}")
-    return lines
+class _Sweep:
+    """The setup every sweep subcommand shares: config, atom and surface
+    models, quadrature settings and z grid, plus the CSV writer whose
+    header records them."""
+
+    def __init__(self, args):
+        self.cfg = _load_config(args.config)
+        self.atom_spec = _pick(args.atom, self.cfg, "atom")
+        self.surface_spec = _pick(args.surface, self.cfg, "surface")
+        self.atom = build_atom(self.atom_spec)
+        self.surface = build_surface(self.surface_spec)
+        self.settings = build_settings(args, self.cfg)
+        z_spec = _pick(args.z, self.cfg, "z_a_m")
+        if z_spec is None:
+            raise ValueError(f"{args.command}: z_a_m is required (flag or config)")
+        self.z_grid = _positive_grid(z_spec, "z_a_m")
+        self.alpha0 = float(polarizability(self.atom, 0.0))
+        self.output = _pick(args.output, self.cfg, "output_csv")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"config 'output_csv' must be a path, got {self.output!r}")
+
+    def write_csv(self, columns: list[str], rows: list[list[float]], comments=()) -> None:
+        lines = [f"{key}={value:.12e}" for key, value in constants_header_fields().items()]
+        lines.append(f"atom={json.dumps(self.atom_spec, sort_keys=True)}")
+        lines.append(f"surface={json.dumps(self.surface_spec, sort_keys=True)}")
+        lines.append(f"rel_tol={self.settings.rel_tol:.3e}")
+        lines += comments
+        out = [f"# {line}" for line in lines]
+        out.append(",".join(columns))
+        out += [",".join(f"{v:.12e}" for v in row) for row in rows]
+        text = "\n".join(out) + "\n"
+        if self.output is None:
+            sys.stdout.write(text)
+        else:
+            Path(self.output).write_text(text)
 
 
-def _write_csv(
-    path: str | None, comments: list[str], columns: list[str], rows: list[list[float]]
-) -> None:
-    out = []
-    for line in comments:
-        out.append(f"# {line}")
-    out.append(",".join(columns))
-    for row in rows:
-        out.append(",".join(f"{v:.12e}" for v in row))
-    text = "\n".join(out) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
-def _warn_negligible(results: Sequence[IntegralResult]) -> None:
-    count = sum(1 for r in results if getattr(r, "negligible", False))
-    if count:
-        print(
-            f"warning: {count} grid point(s) beyond the k z_A cutoff; "
-            "reported as 0 with the bound in the error column",
-            file=sys.stderr,
-        )
-
-
-def _static_alpha0(atom) -> float:
-    return float(polarizability(atom, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_plane(args) -> int:
-    cfg = _load_config(args.config)
-    atom_spec = _pick(args.atom, cfg, "atom")
-    surface_spec = _pick(args.surface, cfg, "surface")
-    atom = build_atom(atom_spec)
-    surface = build_surface(surface_spec)
-    settings = build_settings(args, cfg)
-    z_grid = _positive_grid(_require(args.z, cfg, "z_a_m", "plane"), "z_a_m")
-    alpha0 = _static_alpha0(atom)
-
-    def one(z: float):
-        u = plane_potential(atom, surface, z, settings)
-        f = plane_force(atom, surface, z, settings)
-        f_ref = f_cp0(z, alpha0)
-        return [
-            z,
-            u.value,
-            u.error,
-            f.value,
-            f.error,
-            f.value / f_ref,
-            f.error / abs(f_ref),
-        ]
-
-    rows = [one(z) for z in z_grid]
-    _write_csv(
-        _pick(args.output, cfg, "output_csv"),
-        _header_lines(atom_spec, surface_spec, settings),
-        ["z_A_m", "U0_J", "U0_err_J", "F0_N", "F0_err_N", "eta_F", "eta_F_err"],
-        rows,
-    )
+def _z_sweep(args, columns: list[str], row) -> int:
+    """One CSV row per z_A: row(sweep, z)."""
+    sweep = _Sweep(args)
+    sweep.write_csv(columns, [row(sweep, z) for z in sweep.z_grid])
     return 0
 
 
-def _require(flag_value, cfg: dict, key: str, command: str):
-    value = _pick(flag_value, cfg, key)
-    if value is None:
-        raise ValueError(f"{command}: {key} is required (flag or config)")
-    return value
+def _zk_sweep(args, columns: list[str], row) -> int:
+    """One CSV row per (z_A, k): row(sweep, z, k, g, rho, rho_err), where
+    g = g(k, z_A) and rho = g / F0(z_A) with its propagated error."""
+    sweep = _Sweep(args)
+    rows, results = [], []
+    for z in sweep.z_grid:
+        ks = _k_grid(args, sweep.cfg, z)
+        g_of_k = g_evaluator(sweep.atom, sweep.surface, z, sweep.settings)
+        f0 = plane_force(sweep.atom, sweep.surface, z, sweep.settings)
+        for k in ks:
+            g = g_of_k(k)
+            rho_val = g.value / f0.value
+            rho_err = abs(rho_val) * (_rel(g.error, g.value) + _rel(f0.error, f0.value))
+            rows.append(row(sweep, z, k, g, rho_val, rho_err))
+            results.append(g)
+    _warn_negligible(results)
+    sweep.write_csv(columns, rows)
+    return 0
 
 
-def _k_grid(args, cfg: dict, z: float, command: str) -> list[float]:
+def _k_grid(args, cfg: dict, z: float) -> list[float]:
     """One wavenumber grid from --k, --wavelength, or --kz (k = kz / z_A)."""
     sources = {
-        "k_1_per_m": getattr(args, "k", None),
-        "lambda_m": getattr(args, "wavelength", None),
-        "kz_a": getattr(args, "kz", None),
+        "k_1_per_m": args.k,
+        "lambda_m": args.wavelength,
+        "kz_a": args.kz,
     }
     given = {key: val for key, val in sources.items() if val is not None}
     for key in sources:
@@ -356,10 +355,10 @@ def _k_grid(args, cfg: dict, z: float, command: str) -> list[float]:
             given[key] = cfg[key]
     if len(given) != 1:
         raise ValueError(
-            f"{command}: give exactly one of k_1_per_m, lambda_m, kz_a"
+            f"{args.command}: give exactly one of k_1_per_m, lambda_m, kz_a"
         )
     key, spec = next(iter(given.items()))
-    values = _parse_grid(spec)
+    values = _parse_grid(spec, key)
     if key == "k_1_per_m":
         if any(v < 0.0 for v in values):
             raise ValueError("k values must be non-negative")
@@ -373,145 +372,82 @@ def _k_grid(args, cfg: dict, z: float, command: str) -> list[float]:
     return [kz / z for kz in values]
 
 
-def cmd_response(args) -> int:
-    cfg = _load_config(args.config)
-    atom_spec = _pick(args.atom, cfg, "atom")
-    surface_spec = _pick(args.surface, cfg, "surface")
-    atom = build_atom(atom_spec)
-    surface = build_surface(surface_spec)
-    settings = build_settings(args, cfg)
-    z_grid = _positive_grid(_require(args.z, cfg, "z_a_m", "response"), "z_a_m")
-    alpha0 = _static_alpha0(atom)
-
-    def one_z(z: float):
-        ks = _k_grid(args, cfg, z, "response")
-        g_of_k = g_evaluator(atom, surface, z, settings)
-        f0 = plane_force(atom, surface, z, settings)
-        f_ref = abs(f_cp0(z, alpha0))
-        block = []
-        for k in ks:
-            g = g_of_k(k)
-            rho_val = g.value / f0.value
-            rho_err = abs(rho_val) * (
-                _rel(g.error, g.value) + _rel(f0.error, f0.value)
-            )
-            block.append(
-                (
-                    [
-                        z,
-                        k,
-                        g.value,
-                        g.error,
-                        g.value / f_ref,
-                        g.error / f_ref,
-                        rho_val,
-                        rho_err,
-                    ],
-                    g,
-                )
-            )
-        return block
-
-    blocks = [one_z(z) for z in z_grid]
-    rows = [row for block in blocks for row, _ in block]
-    _warn_negligible([g for block in blocks for _, g in block])
-    _write_csv(
-        _pick(args.output, cfg, "output_csv"),
-        _header_lines(atom_spec, surface_spec, settings),
-        [
-            "z_A_m",
-            "k_1_per_m",
-            "g_N",
-            "g_err_N",
-            "g_over_Fcp",
-            "g_over_Fcp_err",
-            "rho",
-            "rho_err",
-        ],
-        rows,
-    )
-    return 0
-
-
 def _rel(err: float, value: float) -> float:
     return err / abs(value) if value != 0.0 else 0.0
 
 
-def cmd_rho(args) -> int:
-    cfg = _load_config(args.config)
-    atom_spec = _pick(args.atom, cfg, "atom")
-    surface_spec = _pick(args.surface, cfg, "surface")
-    atom = build_atom(atom_spec)
-    surface = build_surface(surface_spec)
-    settings = build_settings(args, cfg)
-    z_grid = _positive_grid(_require(args.z, cfg, "z_a_m", "rho"), "z_a_m")
+def _warn_negligible(results: Sequence[IntegralResult]) -> None:
+    count = sum(1 for r in results if r.negligible)
+    if count:
+        print(
+            f"warning: {count} grid point(s) beyond the k z_A cutoff; "
+            "reported as 0 with the bound in the error column",
+            file=sys.stderr,
+        )
 
-    def one_z(z: float):
-        ks = _k_grid(args, cfg, z, "rho")
-        g_of_k = g_evaluator(atom, surface, z, settings)
-        f0 = plane_force(atom, surface, z, settings)
-        block = []
-        for k in ks:
-            g = g_of_k(k)
-            rho_val = g.value / f0.value
-            rho_err = abs(rho_val) * (
-                _rel(g.error, g.value) + _rel(f0.error, f0.value)
-            )
-            block.append(([z, k, k * z, rho_val, rho_err, rho_cp_perf(k * z)], g))
-        return block
 
-    blocks = [one_z(z) for z in z_grid]
-    rows = [row for block in blocks for row, _ in block]
-    _warn_negligible([g for block in blocks for _, g in block])
-    _write_csv(
-        _pick(args.output, cfg, "output_csv"),
-        _header_lines(atom_spec, surface_spec, settings),
-        ["z_A_m", "k_1_per_m", "kz_a", "rho", "rho_err", "rho_cp_ref"],
-        rows,
-    )
-    return 0
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def _eta_columns(sweep: _Sweep, z: float, f: IntegralResult) -> list[float]:
+    f_ref = f_cp0(z, sweep.alpha0)
+    return [f.value / f_ref, f.error / abs(f_ref)]
+
+
+def cmd_plane(args) -> int:
+    def row(sweep, z):
+        u = plane_potential(sweep.atom, sweep.surface, z, sweep.settings)
+        f = plane_force(sweep.atom, sweep.surface, z, sweep.settings)
+        return [z, u.value, u.error, f.value, f.error, *_eta_columns(sweep, z, f)]
+
+    columns = ["z_A_m", "U0_J", "U0_err_J", "F0_N", "F0_err_N", "eta_F", "eta_F_err"]
+    return _z_sweep(args, columns, row)
 
 
 def cmd_eta(args) -> int:
-    cfg = _load_config(args.config)
-    atom_spec = _pick(args.atom, cfg, "atom")
-    surface_spec = _pick(args.surface, cfg, "surface")
-    atom = build_atom(atom_spec)
-    surface = build_surface(surface_spec)
-    settings = build_settings(args, cfg)
-    z_grid = _positive_grid(_require(args.z, cfg, "z_a_m", "eta"), "z_a_m")
-    alpha0 = _static_alpha0(atom)
+    def row(sweep, z):
+        f = plane_force(sweep.atom, sweep.surface, z, sweep.settings)
+        return [z, *_eta_columns(sweep, z, f)]
 
-    def one(z: float):
-        f = plane_force(atom, surface, z, settings)
-        f_ref = f_cp0(z, alpha0)
-        return [z, f.value / f_ref, f.error / abs(f_ref)]
+    return _z_sweep(args, ["z_A_m", "eta_F", "eta_F_err"], row)
 
-    rows = [one(z) for z in z_grid]
-    _write_csv(
-        _pick(args.output, cfg, "output_csv"),
-        _header_lines(atom_spec, surface_spec, settings),
-        ["z_A_m", "eta_F", "eta_F_err"],
-        rows,
-    )
-    return 0
+
+def cmd_response(args) -> int:
+    def row(sweep, z, k, g, rho_val, rho_err):
+        f_ref = abs(f_cp0(z, sweep.alpha0))
+        return [z, k, g.value, g.error, g.value / f_ref, g.error / f_ref, rho_val, rho_err]
+
+    columns = [
+        "z_A_m",
+        "k_1_per_m",
+        "g_N",
+        "g_err_N",
+        "g_over_Fcp",
+        "g_over_Fcp_err",
+        "rho",
+        "rho_err",
+    ]
+    return _zk_sweep(args, columns, row)
+
+
+def cmd_rho(args) -> int:
+    def row(sweep, z, k, g, rho_val, rho_err):
+        return [z, k, k * z, rho_val, rho_err, rho_cp_perf(k * z)]
+
+    columns = ["z_A_m", "k_1_per_m", "kz_a", "rho", "rho_err", "rho_cp_ref"]
+    return _zk_sweep(args, columns, row)
 
 
 def cmd_corrugation(args) -> int:
-    cfg = _load_config(args.config)
-    atom_spec = _pick(args.atom, cfg, "atom")
-    surface_spec = _pick(args.surface, cfg, "surface")
-    atom = build_atom(atom_spec)
-    surface = build_surface(surface_spec)
-    settings = build_settings(args, cfg)
-    z_grid = _positive_grid(_require(args.z, cfg, "z_a_m", "corrugation"), "z_a_m")
-    if len(z_grid) != 1:
+    sweep = _Sweep(args)
+    if len(sweep.z_grid) != 1:
         raise ValueError("corrugation: exactly one z_a_m value")
-    z = z_grid[0]
+    z = sweep.z_grid[0]
 
     # Defaults, then the config's corrugation object, then flags.
     corr = {"h0_m": 100e-9, "phase_rad": 0.0, "direction": (1.0, 0.0), "x_points": 9}
-    corr.update(_section(cfg, "corrugation"))
+    corr.update(_section(sweep.cfg, "corrugation"))
     flags = {
         "h0_m": args.h0,
         "lambda_m": args.lambda_c,
@@ -540,7 +476,7 @@ def cmd_corrugation(args) -> int:
 
     x_spec = corr.get("x_m")
     if x_spec is not None:
-        x_grid = _parse_grid(x_spec)
+        x_grid = _parse_grid(x_spec, "x_m")
     else:
         n = _field("corrugation", corr, "x_points", _whole)
         if n < 1:
@@ -548,9 +484,9 @@ def cmd_corrugation(args) -> int:
         period = TWO_PI / k_c if k_c > 0.0 else 0.0
         x_grid = list(np.linspace(0.0, period, n))
 
-    g_of_k = g_evaluator(atom, surface, z, settings)
+    g_of_k = g_evaluator(sweep.atom, sweep.surface, z, sweep.settings)
     g_val = g_of_k(k_c)  # primes the per-|k| cache for the x sweep
-    f0 = plane_force(atom, surface, z, settings)
+    f0 = plane_force(sweep.atom, sweep.surface, z, sweep.settings)
 
     def one(x: float):
         r = (x, 0.0)
@@ -561,7 +497,9 @@ def cmd_corrugation(args) -> int:
 
     rows = [one(x) for x in x_grid]
     _warn_negligible([g_val])
-    report = detectability_report(profile, z, config=_build_probe(cfg), g_of_k=g_of_k)
+    report = detectability_report(
+        profile, z, config=_build_probe(sweep.cfg), g_of_k=g_of_k
+    )
     report_obj = {
         "u1_amplitude_J": report.u1_amplitude,
         "u1_amplitude_eV": report.u1_amplitude / EV,
@@ -572,25 +510,19 @@ def cmd_corrugation(args) -> int:
     }
     report_text = json.dumps(report_obj, sort_keys=True)
 
-    output = _pick(args.output, cfg, "output_csv")
-    comments = _header_lines(atom_spec, surface_spec, settings)
-    if output is None:
-        comments = comments + [f"report={report_text}"]
-    _write_csv(
-        output,
-        comments,
-        [
-            "x_m",
-            "U1_J",
-            "U1_err_J",
-            "F_lateral_N",
-            "F_lateral_err_N",
-            "U1_pfa_J",
-            "U1_pfa_err_J",
-        ],
-        rows,
-    )
-    if output is not None:
+    columns = [
+        "x_m",
+        "U1_J",
+        "U1_err_J",
+        "F_lateral_N",
+        "F_lateral_err_N",
+        "U1_pfa_J",
+        "U1_pfa_err_J",
+    ]
+    if sweep.output is None:
+        sweep.write_csv(columns, rows, [f"report={report_text}"])
+    else:
+        sweep.write_csv(columns, rows)
         print(report_text)
     return 0
 
@@ -758,8 +690,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (KeyError, json.JSONDecodeError) as exc:
         print(f"error: bad config ({exc})", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: input out of floating-point range ({exc})", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         where = f" in the {exc.layer} layer" if exc.layer else ""

@@ -6,13 +6,16 @@ k' through one non-specular surface reflection and one reflection off the
 atom. After the polarization sums this reduces to a scalar kernel
 a(k', k''), a function of |k'|, |k''| and the angle between them only.
 
-Production code evaluates the premultiplied combination
+The module evaluates the premultiplied combination
 
     A = (xi^2 / c^2) * a(k', k'')        units 1/m^2
 
 in which every c^2/xi^2 factor from the TM polarization vectors has been
 cancelled symbolically, so the xi -> 0 endpoint of the frequency integral
-is finite for any material model.
+is finite for any material model: a_exact for a real material, a_perfect
+for the ideal mirror. tests/test_kernel.py rebuilds a_exact from the
+polarization overlaps and the non-specular reflection block as an
+independent check.
 """
 
 from __future__ import annotations
@@ -28,13 +31,8 @@ from .optics import FresnelSet, fresnel
 __all__ = [
     "KernelPoint",
     "kernel_point",
-    "kernel_point_from_vectors",
-    "polarization_overlaps",
-    "lambda_matrix",
-    "nonspecular_block",
     "a_exact",
     "a_perfect",
-    "assemble_a_from_block",
 ]
 
 
@@ -67,8 +65,9 @@ def kernel_point(surface, xi: float, kp, kpp, cos_dphi, sin_dphi) -> KernelPoint
     """Build a KernelPoint, evaluating the material once per leg.
 
     The TM denominator d_tm = xi^2/c^2 - kappa'^2 (eps + 1) is strictly
-    negative for eps >= 1; this is asserted because every TM term divides
-    by it.
+    negative for eps > 0. Every TM term divides by it, so a point where it
+    is not (eps <= 0, or scales so far out that kappa'^2 underflows
+    against an infinite eps) raises ValueError.
     """
     if not xi > 0.0:
         raise ValueError("xi must be positive")
@@ -90,7 +89,10 @@ def kernel_point(surface, xi: float, kp, kpp, cos_dphi, sin_dphi) -> KernelPoint
         eps = float(surface.eps(xi))
         d_tm = xi_c2 - kappa_p**2 * (eps + 1.0)
         if not np.all(d_tm < 0.0):
-            raise AssertionError("TM denominator must be strictly negative")
+            raise ValueError(
+                f"kernel TM denominator is not negative at xi={xi:.6e} rad/s "
+                f"(eps={eps:.6e}; wavenumbers or eps out of floating-point range)"
+            )
     return KernelPoint(
         xi=xi,
         kp=kp,
@@ -107,75 +109,6 @@ def kernel_point(surface, xi: float, kp, kpp, cos_dphi, sin_dphi) -> KernelPoint
     )
 
 
-def kernel_point_from_vectors(surface, xi: float, kp_vec, kpp_vec) -> KernelPoint:
-    """KernelPoint from explicit transverse 2-vectors k' and k''."""
-    kp_vec = np.asarray(kp_vec, dtype=float)
-    kpp_vec = np.asarray(kpp_vec, dtype=float)
-    kp = float(np.hypot(*kp_vec))
-    kpp = float(np.hypot(*kpp_vec))
-    if kp == 0.0 or kpp == 0.0:
-        raise ValueError("vector form needs non-zero wavevectors")
-    cos_dphi = float(kp_vec @ kpp_vec) / (kp * kpp)
-    sin_dphi = -float(kp_vec[0] * kpp_vec[1] - kp_vec[1] * kpp_vec[0]) / (kp * kpp)
-    return kernel_point(surface, xi, kp, kpp, cos_dphi, sin_dphi)
-
-
-def polarization_overlaps(point: KernelPoint) -> dict[str, object]:
-    """The four overlaps eps_hat^+_p(k') . eps_hat^-_p'(k'').
-
-    TE.TE = C, TE.TM = c kappa'' S / xi, TM.TE = c kappa' S / xi,
-    TM.TM = -(c^2/xi^2)(k' k'' + kappa' kappa'' C). These carry the raw
-    c/xi factors; the premultiplied kernel never calls this.
-    """
-    c_xi = C_LIGHT / point.xi
-    return {
-        "te_te": point.cos_dphi,
-        "te_tm": c_xi * point.kappa_pp * point.sin_dphi,
-        "tm_te": c_xi * point.kappa_p * point.sin_dphi,
-        "tm_tm": -(c_xi**2)
-        * (point.kp * point.kpp + point.kappa_p * point.kappa_pp * point.cos_dphi),
-    }
-
-
-def lambda_matrix(point: KernelPoint) -> np.ndarray:
-    """Non-specular polarization-mixing matrix, rows (TE, TM) out, columns in.
-
-    Entries (C = cos_dphi, S = sin_dphi, primes as in the point):
-
-      [TE,TE] = 2 kappa' C
-      [TE,TM] = 2 kappa' S c kappa''_t / (sqrt(eps) xi)
-      [TM,TE] = 2 S sqrt(eps) (xi/c) kappa' kappa'_t / d_tm
-      [TM,TM] = -2 kappa' (eps k' k'' + kappa'_t kappa''_t C) / d_tm
-
-    In the specular limit (k'' = k', C = 1, S = 0) the diagonal reduces
-    to 2 kappa' exactly.
-    """
-    if point.is_perfect:
-        raise ValueError("lambda_matrix requires a finite permittivity")
-    eps = point.eps
-    sqrt_eps = math.sqrt(eps)
-    xi = point.xi
-    c = C_LIGHT
-    te_te = 2.0 * point.kappa_p * point.cos_dphi
-    te_tm = 2.0 * point.kappa_p * point.sin_dphi * c * point.fres_pp.kappa_t / (sqrt_eps * xi)
-    tm_te = (
-        2.0 * point.sin_dphi * sqrt_eps * (xi / c)
-        * point.kappa_p * point.fres_p.kappa_t / point.d_tm
-    )
-    tm_tm = (
-        -2.0 * point.kappa_p
-        * (eps * point.kp * point.kpp + point.fres_p.kappa_t * point.fres_pp.kappa_t * point.cos_dphi)
-        / point.d_tm
-    )
-    return np.stack(
-        [
-            np.stack([np.asarray(te_te, dtype=float), np.asarray(te_tm, dtype=float)], axis=-1),
-            np.stack([np.asarray(tm_te, dtype=float), np.asarray(tm_tm, dtype=float)], axis=-1),
-        ],
-        axis=-2,
-    )
-
-
 def _u_factors(point: KernelPoint) -> dict[str, object]:
     # u_{p p'} = r^p(k') t^{p'}(k'') / t^p(k')
     fp, fpp = point.fres_p, point.fres_pp
@@ -185,21 +118,6 @@ def _u_factors(point: KernelPoint) -> dict[str, object]:
         "tm_te": fp.r_tm * fpp.t_te / fp.t_tm,
         "tm_tm": fp.r_tm * fpp.t_tm / fp.t_tm,
     }
-
-
-def nonspecular_block(point: KernelPoint) -> np.ndarray:
-    """First-order reflection block R1[p', p''] = u_{p'p''} Lambda_{p'p''}.
-
-    Diagonal limit: R1(k', k') = 2 kappa' r^p delta_{p p'}.
-    """
-    lam = lambda_matrix(point)
-    u = _u_factors(point)
-    out = np.empty_like(lam)
-    out[..., 0, 0] = u["te_te"] * lam[..., 0, 0]
-    out[..., 0, 1] = u["te_tm"] * lam[..., 0, 1]
-    out[..., 1, 0] = u["tm_te"] * lam[..., 1, 0]
-    out[..., 1, 1] = u["tm_tm"] * lam[..., 1, 1]
-    return out
 
 
 def a_exact(point: KernelPoint, z_atom: float):
@@ -263,25 +181,3 @@ def a_perfect(point: KernelPoint, z_atom: float):
         xi_c2 * (k_corr2 + diff**2) / (point.kappa_p * point.kappa_pp)
         + (k_corr2 - total**2)
     )
-
-
-def assemble_a_from_block(point: KernelPoint, z_atom: float):
-    """Premultiplied kernel rebuilt from overlaps and the R1 block.
-
-    (xi^2/c^2) e^{-(kappa'+kappa'')z_A} / (2 kappa'')
-        sum_{p'p''} overlap_{p'p''} R1_{p'p''}
-
-    Slower and not xi->0 safe; kept as the independent assembly used to
-    cross-check a_exact.
-    """
-    overlaps = polarization_overlaps(point)
-    r1 = nonspecular_block(point)
-    total = (
-        overlaps["te_te"] * r1[..., 0, 0]
-        + overlaps["te_tm"] * r1[..., 0, 1]
-        + overlaps["tm_te"] * r1[..., 1, 0]
-        + overlaps["tm_tm"] * r1[..., 1, 1]
-    )
-    xi_c2 = (point.xi / C_LIGHT) ** 2
-    envelope = np.exp(-(point.kappa_p + point.kappa_pp) * z_atom)
-    return xi_c2 * envelope / (2.0 * point.kappa_pp) * total

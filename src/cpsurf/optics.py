@@ -38,7 +38,6 @@ __all__ = [
     "permittivity_imaginary_axis",
     "fresnel",
     "kramers_kronig_imaginary_axis",
-    "tabulated_from_kramers_kronig",
     "read_optical_csv",
     "write_imaginary_axis_csv",
     "read_imaginary_axis_csv",
@@ -89,6 +88,8 @@ class PlasmaMetal:
     is_perfect: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.omega_p):
+            raise ValueError("omega_p must be finite")
         if not self.omega_p > 0.0:
             raise ValueError("omega_p must be positive")
 
@@ -119,6 +120,9 @@ class DrudeLorentz:
     is_perfect: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("omega_dl", "eps_static"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.omega_dl > 0.0:
             raise ValueError("omega_dl must be positive")
         if not self.eps_static >= 1.0:
@@ -443,31 +447,6 @@ def kramers_kronig_imaginary_axis(
         total += _tail_segment(omega[-1], float(data.eps_imag[-1]), float(x))
         out[i] = 1.0 + (2.0 / math.pi) * total
     return out if np.ndim(xi) else float(out[0])
-
-
-def tabulated_from_kramers_kronig(
-    data: RealAxisOpticalData,
-    xi_grid: np.ndarray,
-    rel_tol: float = 1e-8,
-    extrapolate_low: str = "strict",
-    extrapolate_high: str = "strict",
-) -> TabulatedPermittivity:
-    """Run the Kramers-Kronig transform and wrap the result as a model."""
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    eps_zero = None
-    positive = xi_grid > 0.0
-    if np.any(~positive):
-        if np.any(xi_grid < 0.0):
-            raise ValueError("xi grid must be non-negative")
-        eps_zero = float(kramers_kronig_imaginary_axis(data, 0.0, rel_tol))
-    eps_vals = kramers_kronig_imaginary_axis(data, xi_grid[positive], rel_tol)
-    return TabulatedPermittivity(
-        xi_grid[positive],
-        eps_vals,
-        extrapolate_low=extrapolate_low,
-        extrapolate_high=extrapolate_high,
-        eps_zero=eps_zero,
-    )
 
 
 def read_optical_csv(path: str | Path) -> RealAxisOpticalData:

@@ -16,8 +16,10 @@ rows of one adaptive, with one Fresnel call (a xi column against the k
 matrix) per round; the response runs one k' adaptive per xi node, and
 its angular integral is nested Clenshaw-Curtis applied to all
 wavenumber nodes of a batch at once. The k' leg of the kernel (its
-Fresnel set, kappa' and the TM denominator) depends on k' only, so it is
-built once per k' column and broadcast against the k'' x angle grid.
+Fresnel set, kappa' and the TM denominator) depends on k' only, so
+kernel_point builds it on the k' column and broadcasts it against the
+k'' x angle grid; each Clenshaw-Curtis doubling is a new kernel_point
+call, so the leg is rebuilt at every doubling.
 Inner tolerances are set below the requested one so the reported error,
 outer estimate plus a tolerance-sized pad, is trustworthy. A
 ConvergenceError names the layer that failed ("xi", "kprime" or "phi"),
@@ -255,6 +257,9 @@ def response_g(
                     ((kp_col - k_corr) + 2.0 * k_corr * sin_half2) / safe, -1.0, 1.0
                 )
                 sin_d = np.clip(-k_corr * np.sin(phi) / safe, -1.0, 1.0)
+                # Where k'' = 0 (k' = k at phi = 0) the clamp makes the
+                # ratio -0; its limit phi -> 0+ is -1.
+                sin_d = np.where(kpp > 0.0, sin_d, -1.0)
                 # The k' leg goes in as the (n, 1) column, so its optics
                 # run once per k' node and broadcast over k'' and phi.
                 point = kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d)

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -85,113 +84,17 @@ class TestPolarizabilityModels:
         with pytest.raises(ValueError):
             atomics.MultilevelPolarizability(((2e15, 0.0),))
 
-
-class TestPolarizationVectors:
-    K_VEC = np.array([1.3e6, -0.6e6])
-    XI = 2.7e15
-
-    def test_te_is_real_unit_tangential(self):
-        e = atomics.polarization_vector("TE", self.K_VEC, self.XI, +1)
-        assert np.allclose(e.imag, 0.0)
-        assert e @ e == pytest.approx(1.0, rel=1e-14)
-        assert e[:2] @ self.K_VEC == pytest.approx(0.0, abs=1e-8)
-        assert e[2] == 0.0
-
-    @pytest.mark.parametrize("pol", ["TE", "TM"])
-    @pytest.mark.parametrize("updown", [+1, -1])
-    def test_unit_norm_without_conjugation(self, pol, updown):
-        e = atomics.polarization_vector(pol, self.K_VEC, self.XI, updown)
-        assert e @ e == pytest.approx(1.0 + 0.0j, rel=1e-13)
-
-    @pytest.mark.parametrize("pol", ["TE", "TM"])
-    @pytest.mark.parametrize("updown", [+1, -1])
-    def test_transverse_to_complex_wavevector(self, pol, updown):
-        e = atomics.polarization_vector(pol, self.K_VEC, self.XI, updown)
-        big_k = atomics.complex_wavevector(self.K_VEC, self.XI, updown)
-        norm = np.sqrt(abs(big_k @ big_k.conj()))
-        assert abs(e @ big_k) / norm < 1e-14
-
-    def test_te_tm_orthogonal(self):
-        e_te = atomics.polarization_vector("TE", self.K_VEC, self.XI, +1)
-        e_tm = atomics.polarization_vector("TM", self.K_VEC, self.XI, +1)
-        assert abs(e_te @ e_tm) < 1e-14
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            atomics.polarization_vector("TE", np.zeros(2), self.XI, +1)
-        with pytest.raises(ValueError):
-            atomics.polarization_vector("TM", self.K_VEC, 0.0, +1)
-        with pytest.raises(ValueError):
-            atomics.polarization_vector("TM", self.K_VEC, self.XI, 2)
-        with pytest.raises(ValueError):
-            atomics.polarization_vector("XY", self.K_VEC, self.XI, +1)
-
-
-class TestReflectionElements:
-    K_VEC = np.array([8e5, 3e5])
-    KP_VEC = np.array([-2e5, 1.1e6])
-    XI = 1.9e15
-
-    def _element(self, **kwargs):
-        rb = atomics.rubidium_single_oscillator()
-        return atomics.electric_reflection_element(
-            rb, self.XI, self.K_VEC, "TM", self.KP_VEC, "TE", **kwargs
-        )
-
-    def test_linear_in_alpha(self):
-        rb = atomics.rubidium_single_oscillator()
-        doubled = atomics.StaticPolarizability(2.0 * rb.alpha(self.XI))
-        base = atomics.StaticPolarizability(rb.alpha(self.XI))
-        e2 = atomics.electric_reflection_element(
-            doubled, self.XI, self.K_VEC, "TM", self.KP_VEC, "TE"
-        )
-        e1 = atomics.electric_reflection_element(
-            base, self.XI, self.K_VEC, "TM", self.KP_VEC, "TE"
-        )
-        assert e2 == pytest.approx(2.0 * e1, rel=1e-14)
-
-    def test_displacement_phase(self):
-        shift = np.array([0.3e-6, -0.8e-6])
-        base = self._element(z_atom=1e-6)
-        moved = self._element(r_atom=shift, z_atom=1e-6)
-        dk = self.K_VEC - self.KP_VEC
-        assert moved == pytest.approx(base * cmath.exp(-1j * (dk @ shift)), rel=1e-13)
-
-    def test_height_decay(self):
-        k = float(np.hypot(*self.K_VEC))
-        kp = float(np.hypot(*self.KP_VEC))
-        kappa = math.hypot(k, self.XI / C_LIGHT)
-        kappa_p = math.hypot(kp, self.XI / C_LIGHT)
-        za = 0.7e-6
-        assert self._element(z_atom=za) == pytest.approx(
-            self._element() * math.exp(-(kappa + kappa_p) * za), rel=1e-13
-        )
-
-    def test_magnetic_triple_product(self):
-        # K x (K' x e) must agree with the expansion K'(K.e) - e(K.K').
-        big_k = atomics.complex_wavevector(self.K_VEC, self.XI, -1)
-        big_kp = atomics.complex_wavevector(self.KP_VEC, self.XI, +1)
-        e_in = atomics.polarization_vector("TE", self.KP_VEC, self.XI, +1)
-        lhs = np.cross(big_k, np.cross(big_kp, e_in))
-        rhs = big_kp * (big_k @ e_in) - e_in * (big_k @ big_kp)
-        assert np.allclose(lhs, rhs, rtol=1e-12)
-
-    def test_magnetic_element_linear_in_beta(self):
-        e1 = atomics.magnetic_reflection_element(
-            1e-33, self.XI, self.K_VEC, "TE", self.KP_VEC, "TM"
-        )
-        e2 = atomics.magnetic_reflection_element(
-            lambda xi: 2e-33, self.XI, self.K_VEC, "TE", self.KP_VEC, "TM"
-        )
-        assert e2 == pytest.approx(2.0 * e1, rel=1e-14)
-
-    def test_validation(self):
-        rb = atomics.rubidium_single_oscillator()
-        with pytest.raises(ValueError):
-            atomics.electric_reflection_element(
-                rb, 0.0, self.K_VEC, "TE", self.KP_VEC, "TE"
-            )
-        with pytest.raises(ValueError):
-            atomics.electric_reflection_element(
-                rb, self.XI, self.K_VEC, "TE", self.KP_VEC, "TE", z_atom=-1.0
-            )
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda v: atomics.StaticPolarizability(v), "alpha0"),
+            (lambda v: atomics.SingleOscillatorPolarizability(v, 2e15), "alpha0"),
+            (lambda v: atomics.SingleOscillatorPolarizability(5e-39, v), "omega_a"),
+            (lambda v: atomics.MultilevelPolarizability(((v, 2.6e-29),)), "transition"),
+            (lambda v: atomics.MultilevelPolarizability(((2.4e15, v),)), "transition"),
+        ],
+    )
+    def test_rejects_non_finite(self, make, field, bad):
+        with pytest.raises(ValueError, match=f"{field}.* must be finite"):
+            make(bad)

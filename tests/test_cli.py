@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+from cpsurf import cli
 from cpsurf.closedforms import rho_cp_perf
 
 
@@ -13,6 +18,18 @@ def run_cli(*args, module="cpsurf"):
     return subprocess.run(
         [sys.executable, "-m", module, *args], capture_output=True, text=True
     )
+
+
+def run_main(*argv):
+    """cli.main in this process: (exit code, stdout, stderr). Any exception
+    but argparse's SystemExit propagates, as a traceback would."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def assert_clean_exit(res, code):
@@ -30,6 +47,14 @@ def parse_csv(text):
         else:
             rows.append([float(v) for v in line.split(",")])
     return comments, columns, rows
+
+
+def raw_columns(text, *names):
+    """The header comments and the named columns as printed, byte for byte."""
+    comments = [l for l in text.splitlines() if l.startswith("#")]
+    lines = [l.split(",") for l in text.splitlines() if not l.startswith("#")]
+    idx = [lines[0].index(name) for name in names]
+    return comments, [[line[i] for i in idx] for line in lines[1:]]
 
 
 def column(parsed, name):
@@ -131,6 +156,26 @@ class TestEta:
                       "--z", "1e-6,5e-6")
         e = column(parse_csv(res.stdout), "eta_F")
         assert 0.0 < e[0] < e[1] < 1.0
+
+
+class TestSweepCore:
+    def test_eta_columns_equal_plane_columns(self):
+        argv = ["--surface", "gold", "--rel-tol", "1e-4", "--z", "1e-6,3e-6"]
+        code_plane, plane, _ = run_main("plane", *argv)
+        code_eta, eta, _ = run_main("eta", *argv)
+        assert code_plane == code_eta == 0
+        names = ("z_A_m", "eta_F", "eta_F_err")
+        assert raw_columns(eta, *names) == raw_columns(plane, *names)
+
+    def test_rho_columns_equal_response_columns(self):
+        argv = ["--surface", "gold", "--rel-tol", "1e-3", "--z", "1e-6", "--kz", "0,2,50"]
+        code_resp, resp, warn_resp = run_main("response", *argv)
+        code_rho, rho, warn_rho = run_main("rho", *argv)
+        assert code_resp == code_rho == 0
+        names = ("z_A_m", "k_1_per_m", "rho", "rho_err")
+        assert raw_columns(rho, *names) == raw_columns(resp, *names)
+        assert "1 grid point(s) beyond the k z_A cutoff" in warn_rho
+        assert warn_rho == warn_resp
 
 
 class TestDeterminism:
@@ -326,6 +371,7 @@ class TestExitCodes:
             ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "direction": 1}}, "direction"),
             ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "x_points": [3]}}, "x_points"),
             ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "x_m": [[0]]}}, "grid"),
+            ("plane", {"output_csv": 5}, "output_csv"),
         ],
     )
     def test_malformed_setting(self, tmp_path, command, cfg, field):
@@ -343,8 +389,234 @@ class TestExitCodes:
         assert_clean_exit(res, 2)
         assert key in res.stderr
 
+    @pytest.mark.parametrize(
+        "argv, grid",
+        [
+            (["plane", "--z", "inf"], "z_a_m"),
+            (["eta", "--z", "log:1e-6:inf:3"], "z_a_m"),
+            (["response", "--z", "1e-6", "--k", "1e6,inf"], "k_1_per_m"),
+            (["rho", "--z", "1e-6", "--wavelength", "inf"], "lambda_m"),
+            (["response", "--z", "1e-6", "--kz", "nan"], "kz_a"),
+            (["corrugation", "--z", "2e-6", "--k-c", "1e5", "--x", "0,-inf"], "x_m"),
+        ],
+    )
+    def test_non_finite_grid(self, argv, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(*argv, *STATIC_MIRROR)
+        assert (code, out) == (2, "")
+        assert f"{grid} grid values must be finite" in err
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"surface": {"model": "plasma", "omega_p_rad_s": 1e400}}', "omega_p"),
+            (
+                '{"surface": {"model": "drude_lorentz", "omega_dl_rad_s": 6.6e15,'
+                ' "eps_static": NaN}}',
+                "eps_static",
+            ),
+            ('{"atom": {"model": "static", "alpha0_si": -Infinity}}', "alpha0"),
+            (
+                '{"atom": {"model": "single_oscillator", "alpha0_si": 5e-39,'
+                ' "omega_a_rad_s": 1e999}}',
+                "omega_a",
+            ),
+            ('{"atom": {"model": "multilevel", "transitions": [[2.4e15, Infinity]]}}', "transition"),
+            ('{"atom": {"model": "static", "alpha0_si": 1%s}}' % ("0" * 400), "alpha0_si"),
+            ('{"z_a_m": [1%s]}' % ("0" * 400), "z_a_m"),
+        ],
+    )
+    def test_non_finite_config_value(self, tmp_path, text, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        z = [] if "z_a_m" in text else ["--z", "1e-6"]
+        code, out, err = run_main("plane", "--config", str(path), *z, "--rel-tol", "1e-3")
+        assert (code, out) == (2, "")
+        assert field in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # kappa'^2 underflows to 0 against an infinite plasma eps, so
+            # the kernel's TM denominator is nan.
+            (["response", "--z", "1e170", "--kz", "0.5"], "TM denominator"),
+            # z_A^5 overflows in the ideal-mirror force f_cp0 ...
+            (["plane", "--z", "1e62"], "floating-point range"),
+            # ... or f_cp0 underflows to 0 and eta_F divides by it.
+            (["eta", "--z", "1e55"], "floating-point range"),
+        ],
+    )
+    def test_distance_out_of_float_range(self, argv, message):
+        code, out, err = run_main(*argv, "--surface", "gold", "--rel-tol", "1e-3")
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_output_path_is_a_directory(self, tmp_path):
+        code, _, err = run_main("eta", *STATIC_MIRROR, *FAST, "--z", "1e-6", "--output", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_cli_module_passes_exit_code(self):
         res = run_cli(
             "plane", "--surface", "nosuch", "--z", "1e-6", module="cpsurf.cli"
         )
         assert_clean_exit(res, 2)
+
+
+# Config values for the fuzz: numbers of every kind, JSON junk, and a few
+# physical values so that some examples run the quadrature to the end.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "model"]), st.integers(0, 2), max_size=1),
+)
+_NUMBER = st.one_of(
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([0, -1.0, 1e-6, 2e-6, 1e5, 1.5e15, 6.6e15, 11.87, 5.3e-39]),
+)
+_VALUE = st.one_of(_NUMBER, _JUNK)
+_ATOM = st.one_of(
+    st.sampled_from(["rb87", "rb87-static", "Rb87_static", "cs"]),
+    _JUNK,
+    st.fixed_dictionaries(
+        {"model": st.sampled_from(["static", "single_oscillator", "multilevel", "x"])},
+        optional={
+            "alpha0_si": _VALUE,
+            "omega_a_rad_s": _VALUE,
+            "transitions": st.one_of(_VALUE, st.lists(st.lists(_NUMBER, max_size=3), max_size=2)),
+        },
+    ),
+)
+_SURFACE = st.one_of(
+    st.sampled_from(["gold", "silicon", "perfect", "mirror", "glass"]),
+    _JUNK,
+    st.fixed_dictionaries(
+        {"model": st.sampled_from(["plasma", "drude_lorentz", "table", "x"])},
+        optional={
+            "omega_p_rad_s": _VALUE,
+            "omega_dl_rad_s": _VALUE,
+            "eps_static": _VALUE,
+            "path": st.sampled_from(["missing.csv", "", ".", 3]),
+        },
+    ),
+)
+# Every accepted budget is small, so every example stays cheap.
+_QUADRATURE = st.one_of(
+    _JUNK,
+    st.fixed_dictionaries(
+        {"max_panels": st.sampled_from([4, 5, 6]), "angular_max_half": st.sampled_from([8, 16])},
+        optional={
+            "initial_panels": st.sampled_from([0, 1, 2, 4.5, 7, "x"]),
+            "angular_min_half": st.sampled_from([1, 4, 8, 32]),
+            "kz_cutoff": _VALUE,
+            "bogus": _VALUE,
+        },
+    ),
+)
+_GRID = st.one_of(
+    _NUMBER.map(repr),
+    st.sampled_from(["", ",", "1e-6,2e-6", "lin:1e-6:2e-6:2", "log:0:1:2", "lin:1:2:0", "a:b"]),
+)
+_GRID_VALUE = st.one_of(_GRID, st.lists(_NUMBER, max_size=2), _JUNK)
+_CORRUGATION = st.one_of(
+    _JUNK,
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "h0_m": _VALUE,
+            "lambda_m": _VALUE,
+            "k_c_1_per_m": _VALUE,
+            "phase_rad": _VALUE,
+            "direction": st.one_of(_VALUE, st.lists(_NUMBER, max_size=3)),
+            "x_points": st.one_of(st.integers(-1, 3), _JUNK),
+            "x_m": _GRID_VALUE,
+        },
+    ),
+)
+_PROBE = st.one_of(
+    _JUNK,
+    st.dictionaries(st.sampled_from(["delta_n", "rho0_m", "mass_kg", "bogus"]), _VALUE, max_size=2),
+)
+# Each example starts from a cheap valid run of its command and replaces
+# or drops up to two config keys and adds up to two flags.
+_BASE = {
+    "atom": st.sampled_from(
+        ["rb87", "rb87-static", {"model": "multilevel", "transitions": [[2.4e15, 2.6e-29]]}]
+    ),
+    "surface": st.sampled_from(
+        ["gold", "silicon", "perfect", {"model": "drude_lorentz", "omega_dl_rad_s": 6.6e15, "eps_static": 3.0}]
+    ),
+    "z_a_m": st.sampled_from([1e-6, "2e-6", [3e-7]]),
+    "quadrature": st.fixed_dictionaries(
+        {"max_panels": st.sampled_from([4, 16, 64]), "angular_max_half": st.sampled_from([8, 16])}
+    ),
+    "kz_a": st.sampled_from([0, "0.5", [2.0]]),
+    "corrugation": st.fixed_dictionaries(
+        {"lambda_m": st.sampled_from([1e-5, 3e-6]), "x_points": st.sampled_from([1, 2])}
+    ),
+}
+_FUZZ = {
+    "atom": _ATOM,
+    "surface": _SURFACE,
+    "quadrature": _QUADRATURE,
+    "z_a_m": _GRID_VALUE,
+    "kz_a": _GRID_VALUE,
+    "k_1_per_m": _GRID_VALUE,
+    "lambda_m": _GRID_VALUE,
+    "corrugation": _CORRUGATION,
+    "probe": _PROBE,
+    "output_csv": st.one_of(st.integers(), st.none(), st.lists(st.none(), max_size=1)),
+}
+_DROP = object()
+# The quadrature section is replaced but never dropped: the default budget
+# of 4096 panels per layer is not cheap on an integrand that is nan.
+_MUTATIONS = st.lists(
+    st.one_of(
+        *[
+            st.tuples(st.just(key), value if key == "quadrature" else st.one_of(value, st.just(_DROP)))
+            for key, value in _FUZZ.items()
+        ]
+    ),
+    max_size=2,
+)
+_FLAGS = {
+    "plane": ["--z", "--atom", "--surface"],
+    "eta": ["--z", "--atom", "--surface"],
+    "response": ["--z", "--atom", "--surface", "--kz", "--k", "--wavelength"],
+    "rho": ["--z", "--atom", "--surface", "--kz", "--k", "--wavelength"],
+    "corrugation": ["--z", "--atom", "--surface", "--h0", "--lambda-c", "--k-c", "--phase", "--x", "--x-points"],
+}
+_FLAG_VALUE = st.one_of(_GRID, st.sampled_from(["rb87", "gold", "mirror", "x", "-1", "nan", "1e400"]))
+# x_points has no upper bound, and each point costs a profile evaluation.
+_X_POINTS = st.sampled_from(["-1", "0", "2", "x", "1.5"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cfg.json"
+
+
+class TestContractFuzz:
+    @given(data=st.data(), command=st.sampled_from(sorted(_FLAGS)))
+    @hyp_settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exit_code_is_0_2_or_3(self, fuzz_config, data, command):
+        config = data.draw(st.fixed_dictionaries(_BASE))
+        for key, value in data.draw(_MUTATIONS):
+            if value is _DROP:
+                config.pop(key, None)
+            else:
+                config[key] = value
+        fuzz_config.write_text(json.dumps(config))
+        flags = data.draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=2))
+        rel_tol = data.draw(st.sampled_from(["1e-3", "0.01", "0.3"]))
+        argv = [command, "--config", str(fuzz_config), "--rel-tol", rel_tol]
+        for flag in flags:
+            value = data.draw(_X_POINTS if flag == "--x-points" else _FLAG_VALUE)
+            argv.append(f"{flag}={value}")
+        code, _, err = run_main(*argv)
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err

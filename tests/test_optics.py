@@ -51,6 +51,19 @@ class TestPermittivityModels:
         with pytest.raises(ValueError):
             optics.DrudeLorentz(-1.0, 11.87)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda v: optics.PlasmaMetal(v), "omega_p"),
+            (lambda v: optics.DrudeLorentz(v, 11.87), "omega_dl"),
+            (lambda v: optics.DrudeLorentz(6.6e15, v), "eps_static"),
+        ],
+    )
+    def test_rejects_non_finite(self, make, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make(bad)
+
 
 class TestFresnel:
     def test_perfect_conductor_values(self):
@@ -272,13 +285,6 @@ class TestKramersKronig:
         assert out == pytest.approx(
             1.0 + omega_p**2 / (2.0 * omega0**2 + gamma * omega0), rel=1e-5
         )
-
-    def test_tabulated_wrapper(self):
-        data, omega0, omega_p, gamma = _lorentzian_table(n=800)
-        grid = np.geomspace(omega0 / 5.0, 5.0 * omega0, 12)
-        tab = optics.tabulated_from_kramers_kronig(data, grid)
-        want = 1.0 + omega_p**2 / (omega0**2 + grid[4] ** 2 + gamma * grid[4])
-        assert tab.eps(grid[4]) == pytest.approx(want, rel=1e-5)
 
     def test_data_validation(self):
         w = np.geomspace(1e14, 1e16, 10)

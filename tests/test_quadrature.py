@@ -219,6 +219,26 @@ class TestResponse:
         else:
             assert info.value.kp is None
 
+    def test_angle_at_vanishing_kpp_takes_its_limit(self, monkeypatch, osc_rb, silicon):
+        # kz = 0.6 puts the midpoint K17 node v = 0.375 of the initial k'
+        # panel [1/4, 1/2] exactly on k' = k, so the phi = 0 node has
+        # k'' = 0; sin(angle) must take its limit -1 there, not -0.
+        z = 1e-6
+        k = (1.0 / z) * 0.375 / 0.625
+        seen = []
+        original = quad.kernel_point
+
+        def spy(surface, xi, kp, kpp, cos_d, sin_d):
+            at_zero = np.broadcast_to(kpp, np.shape(sin_d)) == 0.0
+            seen.append(np.asarray(sin_d)[at_zero])
+            return original(surface, xi, kp, kpp, cos_d, sin_d)
+
+        monkeypatch.setattr(quad, "kernel_point", spy)
+        quad.response_g(osc_rb, silicon, z, k, QuadratureSettings(rel_tol=1e-4))
+        at_zero = np.concatenate(seen)
+        assert at_zero.size > 0
+        assert np.all(at_zero == -1.0)
+
     def test_validation(self, static_rb, mirror, settings):
         with pytest.raises(ValueError):
             quad.response_g(static_rb, mirror, 1e-6, -1.0, settings)
