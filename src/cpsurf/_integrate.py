@@ -146,7 +146,8 @@ def _panel_estimates(
     is reduced by its own dot product (a stack of 1 x n products, which
     numpy hands to the same BLAS dot as ``np.dot``), so a pointwise
     integrand gives the same bits as evaluating each rule of each panel
-    on its own.
+    on its own. Raises FloatingPointError if a panel's value or error
+    estimate is not finite.
     """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
@@ -157,7 +158,11 @@ def _panel_estimates(
     fx = np.reshape(f(x.ravel()), x.shape)[:, None, :]
     i_k = halves * np.matmul(fx, w_k)[:, 0, 0]
     i_g = halves * np.matmul(np.ascontiguousarray(fx[..., 1::2]), w_g)[:, 0, 0]
-    return list(zip(i_k.tolist(), np.abs(i_k - i_g).tolist()))
+    err = np.abs(i_k - i_g)
+    if not np.all(np.isfinite(err)):
+        # nan or inf in either sum: bisecting cannot recover, so stop now.
+        raise FloatingPointError("integrand is not finite on a quadrature panel")
+    return list(zip(i_k.tolist(), err.tolist()))
 
 
 def adaptive_gauss_rows(

@@ -12,7 +12,8 @@ z grid, CSV writer) and two loops: over z_A (plane, eta) and over
 z_A x k (response, rho); corrugation uses the same setup.
 
 Exit codes: 0 success, 2 validation error (also for inputs that put the
-arithmetic out of floating-point range), 3 quadrature non-convergence.
+arithmetic out of floating-point range, and point counts too large to
+allocate), 3 quadrature non-convergence.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .quadrature import (
     g_evaluator,
     plane_force,
     plane_potential,
+    ratio,
 )
 
 __all__ = ["main"]
@@ -234,8 +236,6 @@ def build_surface(spec):
 _SETTING_TYPES = {
     "rel_tol": float,
     "max_panels": _whole,
-    "initial_panels": _whole,
-    "angular_min_half": _whole,
     "angular_max_half": _whole,
     "kz_cutoff": float,
 }
@@ -333,9 +333,8 @@ def _zk_sweep(args, columns: list[str], row) -> int:
         f0 = plane_force(sweep.atom, sweep.surface, z, sweep.settings)
         for k in ks:
             g = g_of_k(k)
-            rho_val = g.value / f0.value
-            rho_err = abs(rho_val) * (_rel(g.error, g.value) + _rel(f0.error, f0.value))
-            rows.append(row(sweep, z, k, g, rho_val, rho_err))
+            rho = ratio(g, f0)
+            rows.append(row(sweep, z, k, g, rho.value, rho.error))
             results.append(g)
     _warn_negligible(results)
     sweep.write_csv(columns, rows)
@@ -370,10 +369,6 @@ def _k_grid(args, cfg: dict, z: float) -> list[float]:
     if any(v < 0.0 for v in values):
         raise ValueError("kz_a values must be non-negative")
     return [kz / z for kz in values]
-
-
-def _rel(err: float, value: float) -> float:
-    return err / abs(value) if value != 0.0 else 0.0
 
 
 def _warn_negligible(results: Sequence[IntegralResult]) -> None:
@@ -695,6 +690,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"error: input out of floating-point range ({exc})", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory (is a point count too large?)", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         where = f" in the {exc.layer} layer" if exc.layer else ""

@@ -43,8 +43,9 @@ class KernelPoint:
     kp, kpp are |k'| and |k''|; cos_dphi / sin_dphi are the cosine and
     sine of the angle from k'' to k'. All of kp, kpp, cos_dphi, sin_dphi
     may be broadcast-compatible arrays: a k' column of shape (n, 1) against
-    (n, m) k'' data keeps the k' leg (kappa_p, fres_p, d_tm) at n
-    elements. ``eps`` and ``d_tm`` are None for a perfect conductor.
+    (n, m) k'' data keeps the k' leg (fres_p, d_tm) at n elements. The
+    decay constants kappa', kappa'' are fres_p.kappa, fres_pp.kappa.
+    ``eps`` and ``d_tm`` are None for a perfect conductor.
     """
 
     xi: float
@@ -52,8 +53,6 @@ class KernelPoint:
     kpp: object
     cos_dphi: object
     sin_dphi: object
-    kappa_p: object
-    kappa_pp: object
     fres_p: FresnelSet
     fres_pp: FresnelSet
     eps: float | None
@@ -77,9 +76,6 @@ def kernel_point(surface, xi: float, kp, kpp, cos_dphi, sin_dphi) -> KernelPoint
     sin_dphi = np.asarray(sin_dphi, dtype=float)
     if np.any(kp < 0.0) or np.any(kpp < 0.0):
         raise ValueError("wavenumbers must be non-negative")
-    xi_c2 = (xi / C_LIGHT) ** 2
-    kappa_p = np.sqrt(xi_c2 + kp**2)
-    kappa_pp = np.sqrt(xi_c2 + kpp**2)
     fres_p = fresnel(surface, kp, xi)
     fres_pp = fresnel(surface, kpp, xi)
     if surface.is_perfect:
@@ -87,7 +83,7 @@ def kernel_point(surface, xi: float, kp, kpp, cos_dphi, sin_dphi) -> KernelPoint
         d_tm = None
     else:
         eps = float(surface.eps(xi))
-        d_tm = xi_c2 - kappa_p**2 * (eps + 1.0)
+        d_tm = (xi / C_LIGHT) ** 2 - fres_p.kappa**2 * (eps + 1.0)
         if not np.all(d_tm < 0.0):
             raise ValueError(
                 f"kernel TM denominator is not negative at xi={xi:.6e} rad/s "
@@ -99,8 +95,6 @@ def kernel_point(surface, xi: float, kp, kpp, cos_dphi, sin_dphi) -> KernelPoint
         kpp=kpp,
         cos_dphi=cos_dphi,
         sin_dphi=sin_dphi,
-        kappa_p=kappa_p,
-        kappa_pp=kappa_pp,
         fres_p=fres_p,
         fres_pp=fres_pp,
         eps=eps,
@@ -143,19 +137,20 @@ def a_exact(point: KernelPoint, z_atom: float):
     u = _u_factors(point)
     c2 = point.cos_dphi**2
     s2 = point.sin_dphi**2
+    kappa_p, kappa_pp = point.fres_p.kappa, point.fres_pp.kappa
     kt_p = point.fres_p.kappa_t
     kt_pp = point.fres_pp.kappa_t
     term_te_te = xi_c2 * c2 * u["te_te"]
-    term_te_tm = s2 * point.kappa_pp * kt_pp / sqrt_eps * u["te_tm"]
-    term_tm_te = xi_c2 * sqrt_eps * point.kappa_p * kt_p * s2 / point.d_tm * u["tm_te"]
+    term_te_tm = s2 * kappa_pp * kt_pp / sqrt_eps * u["te_tm"]
+    term_tm_te = xi_c2 * sqrt_eps * kappa_p * kt_p * s2 / point.d_tm * u["tm_te"]
     term_tm_tm = (
-        (point.kp * point.kpp + point.kappa_p * point.kappa_pp * point.cos_dphi)
+        (point.kp * point.kpp + kappa_p * kappa_pp * point.cos_dphi)
         * (eps * point.kp * point.kpp + kt_p * kt_pp * point.cos_dphi)
         / point.d_tm
         * u["tm_tm"]
     )
-    envelope = np.exp(-(point.kappa_p + point.kappa_pp) * z_atom)
-    return envelope * (point.kappa_p / point.kappa_pp) * (
+    envelope = np.exp(-(kappa_p + kappa_pp) * z_atom)
+    return envelope * (kappa_p / kappa_pp) * (
         term_te_te + term_te_tm + term_tm_te + term_tm_tm
     )
 
@@ -174,10 +169,11 @@ def a_perfect(point: KernelPoint, z_atom: float):
     xi_c2 = (point.xi / C_LIGHT) ** 2
     k_corr2 = point.kp**2 + point.kpp**2 - 2.0 * point.kp * point.kpp * point.cos_dphi
     k_corr2 = np.maximum(k_corr2, 0.0)
-    diff = point.kappa_p - point.kappa_pp
-    total = point.kappa_p + point.kappa_pp
+    kappa_p, kappa_pp = point.fres_p.kappa, point.fres_pp.kappa
+    diff = kappa_p - kappa_pp
+    total = kappa_p + kappa_pp
     envelope = np.exp(-total * z_atom)
     return 0.5 * envelope * (
-        xi_c2 * (k_corr2 + diff**2) / (point.kappa_p * point.kappa_pp)
+        xi_c2 * (k_corr2 + diff**2) / (kappa_p * kappa_pp)
         + (k_corr2 - total**2)
     )

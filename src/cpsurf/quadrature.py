@@ -6,20 +6,20 @@ scales of the problem (xi_0 = c / z_A, k_0 = 1 / z_A):
 
     xi = xi_0 u / (1 - u),    k = k_0 v / (1 - v).
 
-The outer (frequency) integral is adaptive Gauss-Kronrod (G8/K17: 17
-integrand points per panel, the error estimate from the embedded 8-point
-Gauss rule), each step evaluating every xi node of its panels in one
-call; the inner wavenumber integral is the same adaptive rule evaluated
-on whole node batches (every panel of an adaptive step in one call). For the plane integrals
-the k' integrals of all xi nodes of an outer step run in lock-step as
-rows of one adaptive, with one Fresnel call (a xi column against the k
-matrix) per round; the response runs one k' adaptive per xi node, and
-its angular integral is nested Clenshaw-Curtis applied to all
-wavenumber nodes of a batch at once. The k' leg of the kernel (its
-Fresnel set, kappa' and the TM denominator) depends on k' only, so
-kernel_point builds it on the k' column and broadcasts it against the
-k'' x angle grid; each Clenshaw-Curtis doubling is a new kernel_point
-call, so the leg is rebuilt at every doubling.
+All three run on one xi x k' skeleton (_xi_kprime). The outer (frequency) integral
+is adaptive Gauss-Kronrod (G8/K17: 17 integrand points per panel, the
+error estimate from the embedded 8-point Gauss rule), each step
+evaluating every xi node of its panels in one call. The k' integrals of
+all xi nodes of an outer step run in lock-step as rows of one adaptive
+of the same rule, each round handing the new k' nodes of every working
+row to a row integrand in one call. The plane's integrand is one Fresnel
+call (a xi column against the k lines). The response's integrand runs,
+per row, the angular integral of all its k' nodes at once by nested
+Clenshaw-Curtis. The k' leg of the kernel (its Fresnel set and the TM
+denominator) depends on k' only, so kernel_point builds it on the k'
+column and broadcasts it against the k'' x angle grid; each
+Clenshaw-Curtis doubling is a new kernel_point call, so the leg is
+rebuilt at every doubling.
 Inner tolerances are set below the requested one so the reported error,
 outer estimate plus a tolerance-sized pad, is trustworthy. A
 ConvergenceError names the layer that failed ("xi", "kprime" or "phi"),
@@ -53,6 +53,7 @@ __all__ = [
     "plane_force",
     "response_g",
     "rho",
+    "ratio",
     "eta_f",
     "g_evaluator",
 ]
@@ -64,8 +65,7 @@ _PREF_G = HBAR / (4.0 * math.pi**3 * EPS0)
 # runs at _OUTER_FRAC, inner legs tighter, and the reported error adds a
 # _REPORT_PAD-sized allowance for the inner noise floor.
 _OUTER_FRAC = 0.5
-_INNER_FRAC_PLANE = 0.25
-_INNER_FRAC_G = 0.2
+_INNER_FRAC = 0.25
 _ANGULAR_FRAC = 0.05
 _REPORT_PAD = 0.3
 
@@ -81,18 +81,16 @@ class QuadratureSettings:
 
     rel_tol: float = 1e-6
     max_panels: int = 4096
-    initial_panels: int = 4
-    angular_min_half: int = 8
     angular_max_half: int = 512
     kz_cutoff: float = 40.0
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if self.max_panels < self.initial_panels or self.initial_panels < 1:
-            raise ValueError("panel budget must fit the initial split")
-        if self.angular_max_half < self.angular_min_half or self.angular_min_half < 2:
-            raise ValueError("angular budget must fit the initial order")
+        if self.max_panels < 4:
+            raise ValueError("panel budget must fit the initial split of 4 panels")
+        if self.angular_max_half < 8:
+            raise ValueError("angular budget must fit the initial half-order 8")
         if not self.kz_cutoff > 0.0:
             raise ValueError("kz_cutoff must be positive")
 
@@ -108,11 +106,6 @@ class IntegralResult:
     value: float
     error: float
     negligible: bool = False
-
-
-def _check_geometry(z_atom: float) -> None:
-    if not z_atom > 0.0:
-        raise ValueError("z_atom must be positive")
 
 
 @contextmanager
@@ -136,40 +129,19 @@ def _node(nodes, row: int) -> float | None:
     return float(nodes if np.ndim(nodes) == 0 else np.ravel(nodes)[row])
 
 
-def _plane_integral(atom, surface, z_atom, settings, force: bool) -> IntegralResult:
-    _check_geometry(z_atom)
+def _xi_kprime(atom, z_atom, settings, f_row) -> tuple[float, float]:
+    """(value, abs error) of the integral over xi of alpha(i xi) times the
+    integral over k' of f_row, both on [0, inf).
+
+    The k' integrals of all xi nodes of an outer step run in lock-step as
+    rows of one adaptive. Each round calls f_row(xi, k, jac) once: k holds
+    one line of k' nodes per working row, jac = dk/dv matches it, and xi
+    is the column of those rows' frequencies.
+    """
+    if not z_atom > 0.0:
+        raise ValueError("z_atom must be positive")
     xi0 = C_LIGHT / z_atom
     k0 = 1.0 / z_atom
-    inner_tol = _INNER_FRAC_PLANE * settings.rel_tol
-
-    def inner(xi: np.ndarray) -> np.ndarray:
-        # The k' integrals of all xi nodes run as rows of one lock-step
-        # adaptive: each round evaluates every unconverged row's new
-        # panels in one array pass (one fresnel call with a xi column).
-        xi_c2 = np.float_power(xi / C_LIGHT, 2)
-
-        def f_k(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            k = k0 * v / (1.0 - v)
-            jac = k0 / (1.0 - v) ** 2
-            kappa = np.sqrt(xi_c2[rows] + k**2)
-            weight = k if force else k / (2.0 * kappa)
-            # Q = (xi^2/c^2)(r_TE - r_TM) - 2 k^2 r_TM; reduces to
-            # -2 kappa^2 for the ideal mirror. Negative for any passive
-            # surface.
-            fs = fresnel(surface, k, xi[rows])
-            moment = xi_c2[rows] * (fs.r_te - fs.r_tm) - 2.0 * k**2 * fs.r_tm
-            return jac * weight * np.exp(-2.0 * kappa * z_atom) * moment
-
-        with _layer("kprime", xi):
-            vals, _ = adaptive_gauss_rows(
-                f_k,
-                np.zeros_like(xi),
-                np.ones_like(xi),
-                inner_tol,
-                max_panels=settings.max_panels,
-                initial_panels=settings.initial_panels,
-            )
-        return vals
 
     def outer(u: np.ndarray) -> np.ndarray:
         # Squares of scalars are taken with pow (float_power), so each
@@ -177,20 +149,49 @@ def _plane_integral(atom, surface, z_atom, settings, force: bool) -> IntegralRes
         xi = xi0 * u / (1.0 - u)
         jac = xi0 / np.float_power(1.0 - u, 2)
         alpha = np.array([polarizability(atom, x) for x in xi])
-        return alpha * jac * inner(xi)
+
+        def f_k(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            return f_row(xi[rows], k0 * v / (1.0 - v), k0 / (1.0 - v) ** 2)
+
+        with _layer("kprime", xi):
+            inner, _ = adaptive_gauss_rows(
+                f_k,
+                np.zeros_like(xi),
+                np.ones_like(xi),
+                _INNER_FRAC * settings.rel_tol,
+                max_panels=settings.max_panels,
+            )
+        return alpha * jac * inner
 
     with _layer("xi"):
-        val, err = adaptive_gauss(
+        return adaptive_gauss(
             outer,
             0.0,
             1.0,
             _OUTER_FRAC * settings.rel_tol,
             max_panels=settings.max_panels,
-            initial_panels=settings.initial_panels,
         )
-    value = _PREF_PLANE * val
-    error = _PREF_PLANE * err + _REPORT_PAD * settings.rel_tol * abs(value)
-    return IntegralResult(value, error)
+
+
+def _result(pref: float, val_err: tuple[float, float], settings) -> IntegralResult:
+    val, err = val_err
+    value = pref * val
+    return IntegralResult(value, pref * err + _REPORT_PAD * settings.rel_tol * abs(value))
+
+
+def _plane_integral(atom, surface, z_atom, settings, force: bool) -> IntegralResult:
+    def f_row(xi: np.ndarray, k: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        # One fresnel call per round: the xi column against the k lines.
+        fs = fresnel(surface, k, xi)
+        xi_c2 = np.float_power(xi / C_LIGHT, 2)
+        weight = k if force else k / (2.0 * fs.kappa)
+        # Q = (xi^2/c^2)(r_TE - r_TM) - 2 k^2 r_TM; reduces to
+        # -2 kappa^2 for the ideal mirror. Negative for any passive
+        # surface.
+        moment = xi_c2 * (fs.r_te - fs.r_tm) - 2.0 * k**2 * fs.r_tm
+        return jac * weight * np.exp(-2.0 * fs.kappa * z_atom) * moment
+
+    return _result(_PREF_PLANE, _xi_kprime(atom, z_atom, settings, f_row), settings)
 
 
 def plane_potential(
@@ -222,7 +223,6 @@ def response_g(
     negligible, with a closed-form magnitude bound as the error.
     """
     settings = settings or QuadratureSettings()
-    _check_geometry(z_atom)
     if k_corr < 0.0:
         raise ValueError("k_corr must be non-negative")
 
@@ -232,81 +232,47 @@ def response_g(
         )
         return IntegralResult(0.0, bound, negligible=True)
 
-    xi0 = C_LIGHT / z_atom
-    k0 = 1.0 / z_atom
-    inner_tol = _INNER_FRAC_G * settings.rel_tol
     angular_tol = _ANGULAR_FRAC * settings.rel_tol
-    use_perfect = surface.is_perfect
+    kernel = a_perfect if surface.is_perfect else a_exact
 
-    def inner(xi: float) -> float:
-        def f_k(v: np.ndarray) -> np.ndarray:
-            kp = k0 * v / (1.0 - v)
-            jac = k0 / (1.0 - v) ** 2
-            kp_col = kp[:, None]
+    def angular(xi: float, kp: np.ndarray) -> np.ndarray:
+        # The k' leg goes in as the (n, 1) column, so its optics run once
+        # per k' node and broadcast over k'' and phi.
+        kp_col = kp[:, None]
 
-            def f_phi(phi: np.ndarray) -> np.ndarray:
-                # Half-angle form keeps k'' = |k' - k| cancellation-free
-                # near phi = 0; the direction cosines are true cosines,
-                # clipped only to shed rounding overshoot.
-                sin_half2 = np.sin(0.5 * phi) ** 2
-                kpp = np.sqrt(
-                    (kp_col - k_corr) ** 2 + 4.0 * kp_col * k_corr * sin_half2
-                )
-                safe = np.maximum(kpp, 1e-300)
-                cos_d = np.clip(
-                    ((kp_col - k_corr) + 2.0 * k_corr * sin_half2) / safe, -1.0, 1.0
-                )
-                sin_d = np.clip(-k_corr * np.sin(phi) / safe, -1.0, 1.0)
-                # Where k'' = 0 (k' = k at phi = 0) the clamp makes the
-                # ratio -0; its limit phi -> 0+ is -1.
-                sin_d = np.where(kpp > 0.0, sin_d, -1.0)
-                # The k' leg goes in as the (n, 1) column, so its optics
-                # run once per k' node and broadcast over k'' and phi.
-                point = kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d)
-                if use_perfect:
-                    return a_perfect(point, z_atom)
-                return a_exact(point, z_atom)
-
-            with _layer("phi", xi, kp):
-                vals, _ = cc_batch(
-                    f_phi,
-                    angular_tol,
-                    min_half=settings.angular_min_half,
-                    max_half=settings.angular_max_half,
-                )
-            return jac * kp * vals
-
-        with _layer("kprime", xi):
-            val, _ = adaptive_gauss(
-                f_k,
-                0.0,
-                1.0,
-                inner_tol,
-                max_panels=settings.max_panels,
-                initial_panels=settings.initial_panels,
+        def f_phi(phi: np.ndarray) -> np.ndarray:
+            # Half-angle form keeps k'' = |k' - k| cancellation-free
+            # near phi = 0; the direction cosines are true cosines,
+            # clipped only to shed rounding overshoot.
+            sin_half2 = np.sin(0.5 * phi) ** 2
+            kpp = np.sqrt(
+                (kp_col - k_corr) ** 2 + 4.0 * kp_col * k_corr * sin_half2
             )
-        return val
+            safe = np.maximum(kpp, 1e-300)
+            cos_d = np.clip(
+                ((kp_col - k_corr) + 2.0 * k_corr * sin_half2) / safe, -1.0, 1.0
+            )
+            sin_d = np.clip(-k_corr * np.sin(phi) / safe, -1.0, 1.0)
+            # Where k'' = 0 (k' = k at phi = 0) the clamp makes the
+            # ratio -0; its limit phi -> 0+ is -1.
+            sin_d = np.where(kpp > 0.0, sin_d, -1.0)
+            point = kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d)
+            return kernel(point, z_atom)
 
-    def outer(u: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            xi = xi0 * ui / (1.0 - ui)
-            jac = xi0 / (1.0 - ui) ** 2
-            out[i] = polarizability(atom, xi) * jac * inner(xi)
-        return out
+        with _layer("phi", xi, kp):
+            vals, _ = cc_batch(
+                f_phi,
+                angular_tol,
+                max_half=settings.angular_max_half,
+            )
+        return vals
 
-    with _layer("xi"):
-        val, err = adaptive_gauss(
-            outer,
-            0.0,
-            1.0,
-            _OUTER_FRAC * settings.rel_tol,
-            max_panels=settings.max_panels,
-            initial_panels=settings.initial_panels,
-        )
-    value = _PREF_G * val
-    error = _PREF_G * err + _REPORT_PAD * settings.rel_tol * abs(value)
-    return IntegralResult(value, error)
+    def f_row(xi: np.ndarray, kp: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        # One angular batch per row: its k' nodes at its own scalar xi.
+        vals = np.array([angular(x, line) for x, line in zip(xi[:, 0], kp)])
+        return jac * kp * vals
+
+    return _result(_PREF_G, _xi_kprime(atom, z_atom, settings, f_row), settings)
 
 
 def rho(
@@ -318,13 +284,16 @@ def rho(
 ) -> IntegralResult:
     """Roll-off rho(k, z_A) = g(k, z_A) / g(0, z_A); 1 at k = 0."""
     g_k = response_g(atom, surface, z_atom, k_corr, settings)
-    g_0 = response_g(atom, surface, z_atom, 0.0, settings)
-    if g_k.negligible or g_k.value == 0.0:
-        return IntegralResult(0.0, g_k.error / abs(g_0.value), negligible=True)
-    value = g_k.value / g_0.value
-    error = abs(value) * (
-        g_k.error / abs(g_k.value) + g_0.error / abs(g_0.value)
-    )
+    return ratio(g_k, response_g(atom, surface, z_atom, 0.0, settings))
+
+
+def ratio(num: IntegralResult, den: IntegralResult) -> IntegralResult:
+    """num / den with relative errors added. A zero or negligible num
+    gives +0, flagged negligible, with error num.error / |den|."""
+    if num.negligible or num.value == 0.0:
+        return IntegralResult(0.0, num.error / abs(den.value), negligible=True)
+    value = num.value / den.value
+    error = abs(value) * (num.error / abs(num.value) + den.error / abs(den.value))
     return IntegralResult(value, error)
 
 

@@ -176,6 +176,11 @@ class TestSweepCore:
         assert raw_columns(rho, *names) == raw_columns(resp, *names)
         assert "1 grid point(s) beyond the k z_A cutoff" in warn_rho
         assert warn_rho == warn_resp
+        # The cutoff point is +0 with the closed-form bound as its error,
+        # which is at least the ideal-mirror roll-off there.
+        _, [*_, cutoff] = raw_columns(rho, "rho", "rho_err", "rho_cp_ref")
+        assert cutoff[0] == "0.000000000000e+00"
+        assert float(cutoff[1]) >= float(cutoff[2]) > 0.0
 
 
 class TestDeterminism:
@@ -333,11 +338,11 @@ class TestExitCodes:
     def test_starved_angular_budget_names_xi_and_kprime(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(
-            json.dumps({"quadrature": {"angular_min_half": 2, "angular_max_half": 2}})
+            json.dumps({"quadrature": {"rel_tol": 1e-13, "angular_max_half": 8}})
         )
         res = run_cli(
             "response", "--config", str(path), "--atom", "rb87",
-            "--surface", "silicon", *FAST, "--z", "1e-6", "--kz", "3",
+            "--surface", "silicon", "--z", "1e-6", "--kz", "3",
         )
         assert_clean_exit(res, 3)
         assert "phi layer at xi=" in res.stderr
@@ -445,12 +450,38 @@ class TestExitCodes:
             (["plane", "--z", "1e62"], "floating-point range"),
             # ... or f_cp0 underflows to 0 and eta_F divides by it.
             (["eta", "--z", "1e55"], "floating-point range"),
+            # (c / z_A)^2 overflows, so the integrands are nan: the first
+            # panel ends the run instead of a full panel budget per layer.
+            (["plane", "--z", "1e-200"], "not finite"),
+            (["response", "--z", "1e-200", "--kz", "1"], "not finite"),
         ],
     )
     def test_distance_out_of_float_range(self, argv, message):
         code, out, err = run_main(*argv, "--surface", "gold", "--rel-tol", "1e-3")
         assert (code, out) == (2, "")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corrugation", "--z", "2e-6", "--k-c", "1e5", "--x-points", "1000000000000"],
+            ["plane", "--z", "lin:1e-6:2e-6:1000000000000"],
+        ],
+    )
+    def test_point_count_too_large_to_allocate(self, monkeypatch, argv):
+        # Stands in for numpy failing to allocate the grid; nothing large
+        # is allocated.
+        linspace = np.linspace
+
+        def refusing(start, stop, num=50, **kw):
+            if num > 10**9:
+                raise MemoryError
+            return linspace(start, stop, num, **kw)
+
+        monkeypatch.setattr(np, "linspace", refusing)
+        code, out, err = run_main(*argv, *STATIC_MIRROR)
+        assert (code, out) == (2, "")
+        assert "out of memory" in err
 
     def test_output_path_is_a_directory(self, tmp_path):
         code, _, err = run_main("eta", *STATIC_MIRROR, *FAST, "--z", "1e-6", "--output", str(tmp_path))
@@ -573,7 +604,8 @@ _FUZZ = {
 }
 _DROP = object()
 # The quadrature section is replaced but never dropped: the default budget
-# of 4096 panels per layer is not cheap on an integrand that is nan.
+# of 4096 panels per layer is not cheap on an integrand that never
+# converges.
 _MUTATIONS = st.lists(
     st.one_of(
         *[

@@ -154,6 +154,20 @@ class TestAdaptiveGauss:
         assert exc.row == 0
         assert len(f.sizes) == 1 + (10 - 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_integrand_stops_at_once(self, bad):
+        # Bisection cannot recover a nan or inf panel; without the check a
+        # row would spend its whole panel budget before giving up.
+        def f(x):
+            y = np.sqrt(x)
+            y[np.argmin(np.abs(x - 0.6))] = bad
+            return y
+
+        f = Recorder(f)
+        with pytest.raises(FloatingPointError):
+            adaptive_gauss(f, 0.0, 1.0, 1e-12)
+        assert f.sizes == [4 * NODES_PER_PANEL]
+
 
 # Row r integrates 1 / (x + c_r) over [A_r, B_r]: the pole distance c_r
 # sets how many bisections the row needs, so rows finish in different

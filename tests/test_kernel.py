@@ -33,12 +33,12 @@ def polarization_overlaps(point):
     c/xi factors that the premultiplied kernel cancels symbolically.
     """
     c_xi = C_LIGHT / point.xi
+    kappa_p, kappa_pp = point.fres_p.kappa, point.fres_pp.kappa
     return {
         "te_te": point.cos_dphi,
-        "te_tm": c_xi * point.kappa_pp * point.sin_dphi,
-        "tm_te": c_xi * point.kappa_p * point.sin_dphi,
-        "tm_tm": -(c_xi**2)
-        * (point.kp * point.kpp + point.kappa_p * point.kappa_pp * point.cos_dphi),
+        "te_tm": c_xi * kappa_pp * point.sin_dphi,
+        "tm_te": c_xi * kappa_p * point.sin_dphi,
+        "tm_tm": -(c_xi**2) * (point.kp * point.kpp + kappa_p * kappa_pp * point.cos_dphi),
     }
 
 
@@ -59,14 +59,15 @@ def lambda_matrix(point):
     sqrt_eps = math.sqrt(eps)
     xi = point.xi
     c = C_LIGHT
-    te_te = 2.0 * point.kappa_p * point.cos_dphi
-    te_tm = 2.0 * point.kappa_p * point.sin_dphi * c * point.fres_pp.kappa_t / (sqrt_eps * xi)
+    kappa_p = point.fres_p.kappa
+    te_te = 2.0 * kappa_p * point.cos_dphi
+    te_tm = 2.0 * kappa_p * point.sin_dphi * c * point.fres_pp.kappa_t / (sqrt_eps * xi)
     tm_te = (
         2.0 * point.sin_dphi * sqrt_eps * (xi / c)
-        * point.kappa_p * point.fres_p.kappa_t / point.d_tm
+        * kappa_p * point.fres_p.kappa_t / point.d_tm
     )
     tm_tm = (
-        -2.0 * point.kappa_p
+        -2.0 * kappa_p
         * (eps * point.kp * point.kpp + point.fres_p.kappa_t * point.fres_pp.kappa_t * point.cos_dphi)
         / point.d_tm
     )
@@ -105,8 +106,9 @@ def assemble_a_from_block(point, z_atom):
         + overlaps["tm_tm"] * r1[1, 1]
     )
     xi_c2 = (point.xi / C_LIGHT) ** 2
-    envelope = math.exp(-(point.kappa_p + point.kappa_pp) * z_atom)
-    return xi_c2 * envelope / (2.0 * point.kappa_pp) * total
+    kappa_p, kappa_pp = point.fres_p.kappa, point.fres_pp.kappa
+    envelope = math.exp(-(kappa_p + kappa_pp) * z_atom)
+    return xi_c2 * envelope / (2.0 * kappa_pp) * total
 
 
 class TestKernelIdentities:
@@ -204,6 +206,6 @@ class TestPerfectLimit:
         full = kernel.kernel_point(
             surface, xi, np.broadcast_to(kp, kpp.shape), kpp, cos_d, sin_d
         )
-        assert column.kappa_p.shape == (3, 1)
+        assert column.fres_p.kappa.shape == (3, 1)
         a = kernel.a_perfect if surface.is_perfect else kernel.a_exact
         np.testing.assert_array_equal(a(column, za), a(full, za))

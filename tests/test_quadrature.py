@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpsurf import closedforms as cf, quadrature as quad
-from cpsurf._integrate import _gauss_kronrod, adaptive_gauss
+from cpsurf._integrate import _gauss_kronrod, adaptive_gauss, cc_batch
 from cpsurf.atomics import StaticPolarizability, polarizability
 from cpsurf.constants import C_LIGHT
 from cpsurf.optics import fresnel
@@ -13,7 +13,7 @@ from cpsurf.quadrature import IntegralResult, QuadratureSettings
 
 def plane_per_xi_reference(atom, surface, z, settings, force):
     """The plane integral as a scalar loop: one k' adaptive per xi node."""
-    xi0, k0 = C_LIGHT / z, 1.0 / z
+    k0 = 1.0 / z
 
     def inner(xi):
         def f_k(v):
@@ -26,9 +26,47 @@ def plane_per_xi_reference(atom, surface, z, settings, force):
             return jac * weight * np.exp(-2.0 * kappa * z) * moment
 
         return adaptive_gauss(
-            f_k, 0.0, 1.0, quad._INNER_FRAC_PLANE * settings.rel_tol,
-            max_panels=settings.max_panels, initial_panels=settings.initial_panels,
+            f_k, 0.0, 1.0, quad._INNER_FRAC * settings.rel_tol, max_panels=settings.max_panels
         )[0]
+
+    return _per_xi_outer(atom, z, settings, inner, quad._PREF_PLANE)
+
+
+def response_per_xi_reference(atom, surface, z, k_corr, settings):
+    """response_g as a scalar loop: one k' adaptive per xi node, and one
+    angular batch per k' adaptive step."""
+    k0 = 1.0 / z
+    kernel = quad.a_perfect if surface.is_perfect else quad.a_exact
+
+    def inner(xi):
+        def f_k(v):
+            kp = k0 * v / (1.0 - v)
+            jac = k0 / (1.0 - v) ** 2
+            kp_col = kp[:, None]
+
+            def f_phi(phi):
+                sin_half2 = np.sin(0.5 * phi) ** 2
+                kpp = np.sqrt((kp_col - k_corr) ** 2 + 4.0 * kp_col * k_corr * sin_half2)
+                safe = np.maximum(kpp, 1e-300)
+                cos_d = np.clip(((kp_col - k_corr) + 2.0 * k_corr * sin_half2) / safe, -1.0, 1.0)
+                sin_d = np.clip(-k_corr * np.sin(phi) / safe, -1.0, 1.0)
+                sin_d = np.where(kpp > 0.0, sin_d, -1.0)
+                return kernel(quad.kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d), z)
+
+            vals, _ = cc_batch(
+                f_phi, quad._ANGULAR_FRAC * settings.rel_tol, max_half=settings.angular_max_half
+            )
+            return jac * kp * vals
+
+        return adaptive_gauss(
+            f_k, 0.0, 1.0, quad._INNER_FRAC * settings.rel_tol, max_panels=settings.max_panels
+        )[0]
+
+    return _per_xi_outer(atom, z, settings, inner, quad._PREF_G)
+
+
+def _per_xi_outer(atom, z, settings, inner, pref):
+    xi0 = C_LIGHT / z
 
     def outer(u):
         out = np.empty_like(u)
@@ -39,11 +77,10 @@ def plane_per_xi_reference(atom, surface, z, settings, force):
         return out
 
     val, err = adaptive_gauss(
-        outer, 0.0, 1.0, quad._OUTER_FRAC * settings.rel_tol,
-        max_panels=settings.max_panels, initial_panels=settings.initial_panels,
+        outer, 0.0, 1.0, quad._OUTER_FRAC * settings.rel_tol, max_panels=settings.max_panels
     )
-    value = quad._PREF_PLANE * val
-    return value, quad._PREF_PLANE * err + quad._REPORT_PAD * settings.rel_tol * abs(value)
+    value = pref * val
+    return value, pref * err + quad._REPORT_PAD * settings.rel_tol * abs(value)
 
 
 class TestSettings:
@@ -57,7 +94,9 @@ class TestSettings:
         with pytest.raises(ValueError):
             QuadratureSettings(max_panels=0)
         with pytest.raises(ValueError):
-            QuadratureSettings(angular_max_half=4, angular_min_half=8)
+            QuadratureSettings(max_panels=3)
+        with pytest.raises(ValueError):
+            QuadratureSettings(angular_max_half=4)
         with pytest.raises(ValueError):
             QuadratureSettings(kz_cutoff=-1.0)
 
@@ -218,6 +257,20 @@ class TestResponse:
             assert info.value.kp > 0.0
         else:
             assert info.value.kp is None
+
+    @pytest.mark.parametrize("surface_name", ["silicon", "gold", "mirror"])
+    def test_lock_step_equals_per_xi_loop(self, request, osc_rb, surface_name):
+        # Running the k' integrals of a step's xi nodes as rows, one
+        # angular batch per row, changes scheduling only: every bit of
+        # (value, error) must match the per-node loop.
+        surface = request.getfixturevalue(surface_name)
+        s = QuadratureSettings(rel_tol=1e-4)
+        z = 1.05e-6
+        for kz in (0.0, 3.0, 6.0):
+            got = quad.response_g(osc_rb, surface, z, kz / z, s)
+            assert (got.value, got.error) == response_per_xi_reference(
+                osc_rb, surface, z, kz / z, s
+            )
 
     def test_angle_at_vanishing_kpp_takes_its_limit(self, monkeypatch, osc_rb, silicon):
         # kz = 0.6 puts the midpoint K17 node v = 0.375 of the initial k'
