@@ -170,7 +170,6 @@ def adaptive_gauss_rows(
     a,
     b,
     rel_tol: float,
-    abs_tol: float = 0.0,
     max_panels: int = 4096,
     n_high: int = 17,
     initial_panels: int = 4,
@@ -232,7 +231,7 @@ def adaptive_gauss_rows(
             heap = heaps[r]
             total = math.fsum(item[4] for item in heap)
             total_err = math.fsum(item[5] for item in heap)
-            target = max(abs_tol, rel_tol * abs(total))
+            target = rel_tol * abs(total)
             if total_err <= target:
                 values[r], errors[r] = total, total_err
                 continue
@@ -263,7 +262,6 @@ def adaptive_gauss(
     a: float,
     b: float,
     rel_tol: float,
-    abs_tol: float = 0.0,
     max_panels: int = 4096,
     n_high: int = 17,
     initial_panels: int = 4,
@@ -280,7 +278,6 @@ def adaptive_gauss(
         a,
         b,
         rel_tol,
-        abs_tol,
         max_panels,
         n_high,
         initial_panels,
@@ -306,18 +303,18 @@ def _cc_rule(n_half: int) -> tuple[np.ndarray, np.ndarray]:
 def cc_batch(
     f: Callable[[np.ndarray], np.ndarray],
     rel_tol: float,
-    min_half: int = 8,
     max_half: int = 512,
 ) -> tuple[np.ndarray, float]:
     """Integrate a batch of smooth integrands over [0, pi].
 
     ``f(phi)`` must return an array whose last axis matches ``phi``.
-    Doubles the Clenshaw-Curtis order until the worst batch element moves
-    by less than rel_tol of the largest magnitude; returns (values, max
-    abs change at the final doubling). A ConvergenceError names as ``row``
-    the (flat) batch element with the largest last change.
+    Doubles the Clenshaw-Curtis order, from 17 points, until the worst
+    batch element moves by less than rel_tol of the largest magnitude;
+    returns (values, max abs change at the final doubling). A
+    ConvergenceError names as ``row`` the (flat) batch element with the
+    largest last change.
     """
-    n_half = min_half
+    n_half = 8
     x, w = _cc_rule(n_half)
     phi = 0.5 * np.pi * (x + 1.0)
     fx = f(phi)

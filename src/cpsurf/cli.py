@@ -11,9 +11,14 @@ The sweep subcommands share one setup (_Sweep: config, models, settings,
 z grid, CSV writer) and two loops: over z_A (plane, eta) and over
 z_A x k (response, rho); corrugation uses the same setup.
 
-Exit codes: 0 success, 2 validation error (also for inputs that put the
-arithmetic out of floating-point range, and point counts too large to
-allocate), 3 quadrature non-convergence.
+Every CSV, of a sweep or of ingest-optical, goes through one writer,
+which writes the same bytes to a file as to stdout.
+
+Exit codes: 0 success, 2 validation error (also for a malformed table or
+optical data file, inputs that put the arithmetic out of floating-point
+range, and point counts too large to allocate), 3 quadrature
+non-convergence. A failure prints one ``error:`` line and no numpy
+warnings.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .optics import (
     read_imaginary_axis_csv,
     read_optical_csv,
     silicon_drude_lorentz,
-    write_imaginary_axis_csv,
 )
 from .profile import (
     BecProbeConfig,
@@ -274,6 +278,21 @@ def _build_probe(cfg: dict) -> BecProbeConfig:
     return BecProbeConfig(**kwargs)
 
 
+def _write_csv(output: str | None, comments, columns: list[str], rows) -> None:
+    """The constants header and the comment lines as ``# `` lines, then the
+    column line and the ``%.12e`` rows, to the path output (stdout when it
+    is None)."""
+    constants = [f"{key}={value:.12e}" for key, value in constants_header_fields().items()]
+    out = [f"# {line}" for line in [*constants, *comments]]
+    out.append(",".join(columns))
+    out += [",".join(f"{v:.12e}" for v in row) for row in rows]
+    text = "\n".join(out) + "\n"
+    if output is None:
+        sys.stdout.write(text)
+    else:
+        Path(output).write_text(text)
+
+
 # ---------------------------------------------------------------------------
 # the sweep core
 
@@ -300,19 +319,13 @@ class _Sweep:
             raise ValueError(f"config 'output_csv' must be a path, got {self.output!r}")
 
     def write_csv(self, columns: list[str], rows: list[list[float]], comments=()) -> None:
-        lines = [f"{key}={value:.12e}" for key, value in constants_header_fields().items()]
-        lines.append(f"atom={json.dumps(self.atom_spec, sort_keys=True)}")
-        lines.append(f"surface={json.dumps(self.surface_spec, sort_keys=True)}")
-        lines.append(f"rel_tol={self.settings.rel_tol:.3e}")
-        lines += comments
-        out = [f"# {line}" for line in lines]
-        out.append(",".join(columns))
-        out += [",".join(f"{v:.12e}" for v in row) for row in rows]
-        text = "\n".join(out) + "\n"
-        if self.output is None:
-            sys.stdout.write(text)
-        else:
-            Path(self.output).write_text(text)
+        lines = [
+            f"atom={json.dumps(self.atom_spec, sort_keys=True)}",
+            f"surface={json.dumps(self.surface_spec, sort_keys=True)}",
+            f"rel_tol={self.settings.rel_tol:.3e}",
+            *comments,
+        ]
+        _write_csv(self.output, lines, columns, rows)
 
 
 def _z_sweep(args, columns: list[str], row) -> int:
@@ -526,18 +539,11 @@ def cmd_ingest_optical(args) -> int:
     data = read_optical_csv(args.input)
     xi_grid = np.geomspace(args.xi_min, args.xi_max, args.xi_points)
     eps = kramers_kronig_imaginary_axis(data, xi_grid, rel_tol=args.kk_rel_tol)
-    lines = [f"{key}={value:.12e}" for key, value in constants_header_fields().items()]
-    lines.append(f"source={Path(args.input).name}")
+    lines = [f"source={Path(args.input).name}"]
     if data.drude_omega_p is not None:
         lines.append(f"drude_omega_p={data.drude_omega_p:.12e}")
         lines.append(f"drude_gamma={data.drude_gamma:.12e}")
-    if args.output is None:
-        sys.stdout.write("\n".join(f"# {line}" for line in lines) + "\n")
-        sys.stdout.write("xi_rad_s,eps_i_xi\n")
-        for x, e in zip(xi_grid, eps):
-            sys.stdout.write(f"{x:.12e},{e:.12e}\n")
-    else:
-        write_imaginary_axis_csv(args.output, xi_grid, eps, header_lines=lines)
+    _write_csv(args.output, lines, ["xi_rad_s", "eps_i_xi"], zip(xi_grid, eps))
     return 0
 
 
@@ -678,15 +684,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        # Non-finite arithmetic is reported by the error it leads to.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
         print(f"error: bad config ({exc})", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: input out of floating-point range ({exc})", file=sys.stderr)

@@ -7,7 +7,10 @@ Two families:
   g_cp_perf, all exact for a static atom above a perfect conductor;
 * short-distance (non-retarded) limit: g_vdw_* for perfect-conductor,
   plasma, surface-plasmon and single-resonance dielectric surfaces,
-  expressed through modified Bessel functions K0, K1.
+  expressed through modified Bessel functions K0, K1. All four share one
+  transition sum of the form -k d_n^2 e^{-Z} (a Z K0e + b K1e) / (c z^3);
+  each surface supplies only its per-transition (a, b, c), and k = 0
+  takes the limit of that same sum.
 
 K0/K1 are implemented here (ascending series below the crossover at 2,
 Chebyshev-fitted scaled asymptotic branch above) so the numerical core has
@@ -213,21 +216,36 @@ def g_cp_perf(k_corr: float, z_atom: float, alpha0: float) -> float:
     return f_cp0(z_atom, alpha0) * rho_cp_perf(k_corr * z_atom)
 
 
-def _check_vdw_args(k_corr: float, z_atom: float) -> None:
+def _g_vdw(k_corr: float, z_atom: float, transitions: Iterable, bracket) -> float:
+    """Sum over transitions of -k d_n^2 e^{-Z} (a Z K0e(Z) + b K1e(Z)) / (c z^3),
+    Z = k z, with (a, b, c) = bracket(omega_n, Z).
+
+    At k = 0 it takes the limit -d_n^2 b(omega_n, 0) / (c z^4), since
+    Z K0(Z) -> 0 and k K1(k z) -> 1/z.
+    """
     if not z_atom > 0.0:
         raise ValueError("z_atom must be positive")
     if k_corr < 0.0:
         raise ValueError("k_corr must be non-negative")
-
-
-def _transition_pairs(transitions: Iterable) -> list[tuple[float, float]]:
     pairs = [(float(t[0]), float(t[1])) for t in transitions]
     if not pairs:
         raise ValueError("need at least one transition")
     for omega, dipole in pairs:
         if not (omega > 0.0 and dipole > 0.0):
             raise ValueError("transition frequencies and dipoles must be positive")
-    return pairs
+    total = 0.0
+    if k_corr == 0.0:
+        for omega, dipole in pairs:
+            _, b, c = bracket(omega, 0.0)
+            total -= dipole**2 * b / (c * z_atom**4)
+        return total
+    big_z = k_corr * z_atom
+    k0e, k1e = bessel_k0e_k1e(big_z)
+    decay = math.exp(-big_z)
+    for omega, dipole in pairs:
+        a, b, c = bracket(omega, big_z)
+        total -= k_corr * dipole**2 * decay * (a * big_z * k0e + b * k1e) / (c * z_atom**3)
+    return total
 
 
 def g_vdw_perfect(k_corr: float, z_atom: float, transitions: Iterable) -> float:
@@ -237,16 +255,11 @@ def g_vdw_perfect(k_corr: float, z_atom: float, transitions: Iterable) -> float:
     Z = k z; the k -> 0 limit -sum_n d_n^2 / (16 pi eps0 z^4) is used
     exactly at k = 0.
     """
-    _check_vdw_args(k_corr, z_atom)
-    pairs = _transition_pairs(transitions)
-    d2_sum = sum(d * d for _, d in pairs)
-    if k_corr == 0.0:
-        return -d2_sum / (16.0 * math.pi * EPS0 * z_atom**4)
-    big_z = k_corr * z_atom
-    k0e, k1e = bessel_k0e_k1e(big_z)
-    decay = math.exp(-big_z)
-    bracket = 6.0 * big_z * k0e + (big_z**2 + 12.0) * k1e
-    return -k_corr * d2_sum * decay * bracket / (192.0 * math.pi * EPS0 * z_atom**3)
+
+    def bracket(omega, big_z):
+        return 6.0, big_z**2 + 12.0, 192.0 * math.pi * EPS0
+
+    return _g_vdw(k_corr, z_atom, transitions, bracket)
 
 
 def g_vdw_plasma(
@@ -262,30 +275,18 @@ def g_vdw_plasma(
     Limits: x -> inf recovers g_vdw_perfect; x -> 0 recovers
     g_vdw_plasmon; k -> 0 gives -d_n^2 x / (16 pi eps0 z^4 (x + sqrt2)).
     """
-    _check_vdw_args(k_corr, z_atom)
     if not omega_p > 0.0:
         raise ValueError("omega_p must be positive")
-    pairs = _transition_pairs(transitions)
-    total = 0.0
-    if k_corr == 0.0:
-        for omega, dipole in pairs:
-            x = omega_p / omega
-            total -= dipole**2 * x / (16.0 * math.pi * EPS0 * z_atom**4 * (x + SQRT2))
-        return total
-    big_z = k_corr * z_atom
-    k0e, k1e = bessel_k0e_k1e(big_z)
-    decay = math.exp(-big_z)
-    for omega, dipole in pairs:
+
+    def bracket(omega, big_z):
         x = omega_p / omega
-        bracket = (
-            6.0 * SQRT2 * big_z * (x + SQRT2) * k0e
-            + (SQRT2 * (big_z**2 + 12.0) * x + big_z**2 + 24.0) * k1e
+        return (
+            6.0 * SQRT2 * (x + SQRT2) * x,
+            (SQRT2 * (big_z**2 + 12.0) * x + big_z**2 + 24.0) * x,
+            192.0 * SQRT2 * math.pi * EPS0 * (x + SQRT2) ** 2,
         )
-        total -= (
-            k_corr * dipole**2 * x * decay * bracket
-            / (192.0 * SQRT2 * math.pi * EPS0 * z_atom**3 * (x + SQRT2) ** 2)
-        )
-    return total
+
+    return _g_vdw(k_corr, z_atom, transitions, bracket)
 
 
 def g_vdw_plasmon(
@@ -295,27 +296,14 @@ def g_vdw_plasmon(
 
     g_n = -k d_n^2 x / (384 sqrt2 pi eps0 z^3) [12 Z K0 + (Z^2 + 24) K1]
     """
-    _check_vdw_args(k_corr, z_atom)
     if not omega_p > 0.0:
         raise ValueError("omega_p must be positive")
-    pairs = _transition_pairs(transitions)
-    total = 0.0
-    if k_corr == 0.0:
-        for omega, dipole in pairs:
-            x = omega_p / omega
-            total -= dipole**2 * x / (16.0 * SQRT2 * math.pi * EPS0 * z_atom**4)
-        return total
-    big_z = k_corr * z_atom
-    k0e, k1e = bessel_k0e_k1e(big_z)
-    decay = math.exp(-big_z)
-    for omega, dipole in pairs:
+
+    def bracket(omega, big_z):
         x = omega_p / omega
-        bracket = 12.0 * big_z * k0e + (big_z**2 + 24.0) * k1e
-        total -= (
-            k_corr * dipole**2 * x * decay * bracket
-            / (384.0 * SQRT2 * math.pi * EPS0 * z_atom**3)
-        )
-    return total
+        return 12.0 * x, (big_z**2 + 24.0) * x, 384.0 * SQRT2 * math.pi * EPS0
+
+    return _g_vdw(k_corr, z_atom, transitions, bracket)
 
 
 def g_vdw_drude_lorentz(
@@ -340,37 +328,21 @@ def g_vdw_drude_lorentz(
     omega_dl sqrt(eps_static - 1) recovers g_vdw_plasma; eps_static = 1
     gives zero.
     """
-    _check_vdw_args(k_corr, z_atom)
     if not omega_dl > 0.0:
         raise ValueError("omega_dl must be positive")
     if not eps_static >= 1.0:
         raise ValueError("eps_static must be >= 1")
-    pairs = _transition_pairs(transitions)
     gm = eps_static - 1.0
-    if gm == 0.0:
-        return 0.0
     w = math.sqrt(gm + 2.0)
-    total = 0.0
-    if k_corr == 0.0:
-        for omega, dipole in pairs:
-            x = omega_dl / omega
-            total -= gm * dipole**2 * x / (
-                16.0 * math.pi * EPS0 * z_atom**4 * w * (w * x + SQRT2)
-            )
-        return total
-    big_z = k_corr * z_atom
-    k0e, k1e = bessel_k0e_k1e(big_z)
-    decay = math.exp(-big_z)
-    z2 = big_z**2
-    for omega, dipole in pairs:
+
+    def bracket(omega, big_z):
         x = omega_dl / omega
-        bracket = (
-            12.0 * (gm + 2.0) * (w * x + SQRT2) * big_z * k0e
-            + (2.0 * w * ((z2 + 12.0) * gm + 24.0) * x
-               + SQRT2 * ((z2 + 24.0) * gm + 48.0)) * k1e
+        gx = gm * x
+        z2 = big_z**2
+        return (
+            12.0 * (gm + 2.0) * (w * x + SQRT2) * gx,
+            (2.0 * w * ((z2 + 12.0) * gm + 24.0) * x + SQRT2 * ((z2 + 24.0) * gm + 48.0)) * gx,
+            384.0 * math.pi * EPS0 * w**3 * (w * x + SQRT2) ** 2,
         )
-        total -= (
-            gm * k_corr * dipole**2 * x * decay * bracket
-            / (384.0 * math.pi * EPS0 * z_atom**3 * w**3 * (w * x + SQRT2) ** 2)
-        )
-    return total
+
+    return _g_vdw(k_corr, z_atom, transitions, bracket)

@@ -4,6 +4,10 @@ Permittivity models eps(i xi), Fresnel coefficients for a planar
 interface, and the Kramers-Kronig transform that turns measured real-axis
 absorption data Im eps(omega) into eps(i xi).
 
+Measured data, real-axis ``omega_rad_s,eps_imag`` or imaginary-axis
+``xi_rad_s,eps_i_xi``, comes in as two-column CSV through one reader,
+which rejects a malformed file with a ValueError naming it.
+
 Everything is evaluated at imaginary frequency omega = i xi (xi >= 0),
 where eps is real and >= 1 for passive media and all integrands that use
 these quantities are smooth and sign-definite.
@@ -11,7 +15,6 @@ these quantities are smooth and sign-definite.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +42,6 @@ __all__ = [
     "fresnel",
     "kramers_kronig_imaginary_axis",
     "read_optical_csv",
-    "write_imaginary_axis_csv",
     "read_imaginary_axis_csv",
     "gold_plasma",
     "silicon_drude_lorentz",
@@ -359,8 +361,8 @@ class RealAxisOpticalData:
         if (self.drude_omega_p is None) != (self.drude_gamma is None):
             raise ValueError("declare both Drude parameters or neither")
         if self.drude_omega_p is not None:
-            if not (self.drude_omega_p > 0.0 and self.drude_gamma > 0.0):
-                raise ValueError("Drude parameters must be positive")
+            if not (0.0 < self.drude_omega_p < math.inf and 0.0 < self.drude_gamma < math.inf):
+                raise ValueError("Drude parameters must be positive and finite")
         if eps_imag[-1] > eps_imag[-2]:
             raise ValueError(
                 "eps_imag grows at the top of the range; "
@@ -449,60 +451,52 @@ def kramers_kronig_imaginary_axis(
     return out if np.ndim(xi) else float(out[0])
 
 
-def read_optical_csv(path: str | Path) -> RealAxisOpticalData:
-    """Read `omega_rad_s,eps_imag` rows; `# key=value` lines carry metadata."""
+def _read_two_columns(path: str | Path, header: str) -> tuple[np.ndarray, dict[str, float]]:
+    """Data rows of a two-column CSV file as an (n, 2) array, and the
+    numeric ``# key=value`` comment lines as a dict.
+
+    Blank and ``#`` lines are not data, and a line equal to ``header``
+    is skipped (the header is optional). Every other line must be two
+    cells, each a finite number; any other line, or a file without data
+    rows, is a ValueError that names the file.
+    """
     meta: dict[str, float] = {}
-    rows: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
+    rows: list[list[float]] = []
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
+                key, eq, value = line.lstrip("#").partition("=")
+                if eq:
                     try:
                         meta[key.strip()] = float(value)
                     except ValueError:
                         pass
                 continue
-            first = line.split(",")[0].strip()
-            try:
-                float(first)
-            except ValueError:
-                expected = ["omega_rad_s", "eps_imag"]
-                got = [c.strip() for c in line.split(",")]
-                if got != expected:
-                    raise ValueError(
-                        f"unexpected optical CSV header {got}; want {expected}"
-                    )
+            cells = [cell.strip() for cell in line.split(",")]
+            if not line or cells == header.split(","):
                 continue
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise ValueError(f"malformed optical CSV row: {line!r}")
-            rows.append((float(cells[0]), float(cells[1])))
+            try:
+                row = [float(cell) for cell in cells]
+            except ValueError:
+                row = []
+            if len(row) != 2 or not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}: want two finite numbers per row, got {line!r}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    arr = np.asarray(rows, dtype=float)
+    return np.array(rows), meta
+
+
+def read_optical_csv(path: str | Path) -> RealAxisOpticalData:
+    """Read `omega_rad_s,eps_imag` rows; `# key=value` lines carry metadata."""
+    rows, meta = _read_two_columns(path, "omega_rad_s,eps_imag")
     return RealAxisOpticalData(
-        omega=arr[:, 0],
-        eps_imag=arr[:, 1],
+        omega=rows[:, 0],
+        eps_imag=rows[:, 1],
         drude_omega_p=meta.get("drude_omega_p"),
         drude_gamma=meta.get("drude_gamma"),
     )
-
-
-def write_imaginary_axis_csv(
-    path: str | Path, xi: np.ndarray, eps: np.ndarray, header_lines: list[str] | None = None
-) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["xi_rad_s", "eps_i_xi"])
-        for x, e in zip(xi, eps):
-            writer.writerow([f"{x:.12e}", f"{e:.12e}"])
 
 
 def read_imaginary_axis_csv(
@@ -510,31 +504,15 @@ def read_imaginary_axis_csv(
     extrapolate_low: str = "strict",
     extrapolate_high: str = "strict",
 ) -> TabulatedPermittivity:
-    rows: list[tuple[float, float]] = []
-    eps_zero = None
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            first = line.split(",")[0].strip()
-            try:
-                float(first)
-            except ValueError:
-                continue
-            cells = line.split(",")
-            xi_val, eps_val = float(cells[0]), float(cells[1])
-            if xi_val == 0.0:
-                eps_zero = eps_val
-            else:
-                rows.append((xi_val, eps_val))
-    arr = np.asarray(rows, dtype=float)
+    """Read `xi_rad_s,eps_i_xi` rows; a row at xi = 0 becomes ``eps_zero``."""
+    rows, _ = _read_two_columns(path, "xi_rad_s,eps_i_xi")
+    zero = rows[:, 0] == 0.0
     return TabulatedPermittivity(
-        arr[:, 0],
-        arr[:, 1],
+        rows[~zero, 0],
+        rows[~zero, 1],
         extrapolate_low=extrapolate_low,
         extrapolate_high=extrapolate_high,
-        eps_zero=eps_zero,
+        eps_zero=float(rows[zero, 1][-1]) if zero.any() else None,
     )
 
 

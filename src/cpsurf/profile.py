@@ -152,24 +152,18 @@ def _resolve_g(atom, surface, z_atom, settings, g_of_k):
     return g_evaluator(atom, surface, z_atom, settings)
 
 
-def _as_result(value) -> IntegralResult:
-    if isinstance(value, IntegralResult):
-        return value
-    return IntegralResult(float(value), 0.0)
-
-
 def _assemble(profile, r_atom, z_atom, g_of_k) -> tuple[complex, float]:
     """Mode sum of the first-order potential; (complex value, abs error)."""
     r = np.asarray(r_atom, dtype=float)
     if isinstance(profile, Sinusoid):
-        g = _as_result(g_of_k(profile.k_c))
+        g = g_of_k(profile.k_c)
         x_par = float(np.dot(r, profile.direction))
         phase = math.cos(profile.k_c * x_par + profile.phase)
         return profile.h0 * g.value * phase + 0.0j, profile.h0 * g.error * abs(phase)
     total = 0.0 + 0.0j
     err = 0.0
     for (kx, ky), amp in profile.modes:
-        g = _as_result(g_of_k(math.hypot(kx, ky)))
+        g = g_of_k(math.hypot(kx, ky))
         factor = amp * cmath.exp(1j * (kx * r[0] + ky * r[1]))
         total += factor * g.value
         err += abs(factor) * g.error
@@ -233,7 +227,7 @@ def lateral_force(
     g_of_k = _resolve_g(atom, surface, z_atom, settings, g_of_k)
     r = np.asarray(r_atom, dtype=float)
     if isinstance(profile, Sinusoid):
-        g = _as_result(g_of_k(profile.k_c))
+        g = g_of_k(profile.k_c)
         x_par = float(np.dot(r, profile.direction))
         s = math.sin(profile.k_c * x_par + profile.phase)
         return IntegralResult(
@@ -244,7 +238,7 @@ def lateral_force(
     fy = 0.0 + 0.0j
     ex = ey = 0.0
     for (kx, ky), amp in profile.modes:
-        g = _as_result(g_of_k(math.hypot(kx, ky)))
+        g = g_of_k(math.hypot(kx, ky))
         factor = amp * cmath.exp(1j * (kx * r[0] + ky * r[1])) * g.value
         fx += -1j * kx * factor
         fy += -1j * ky * factor
@@ -372,10 +366,10 @@ def detectability_report(
     config = config or rb87_bec_probe()
     g_of_k = _resolve_g(atom, surface, z_atom, settings, g_of_k)
     if isinstance(profile, Sinusoid):
-        amp = profile.h0 * abs(_as_result(g_of_k(profile.k_c)).value)
+        amp = profile.h0 * abs(g_of_k(profile.k_c).value)
     else:
         amp = sum(
-            abs(a) * abs(_as_result(g_of_k(math.hypot(*k))).value)
+            abs(a) * abs(g_of_k(math.hypot(*k)).value)
             for k, a in profile.modes
         )
     delta_v = bec_sensitivity(config)

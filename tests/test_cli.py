@@ -290,6 +290,70 @@ class TestIngestOptical:
         assert any(c.startswith("source=drude.csv") for c in comments)
 
 
+    def test_infinite_drude_metadata_exits_2(self, tmp_path):
+        path = tmp_path / "drude.csv"
+        path.write_text(
+            "# drude_omega_p=inf\n# drude_gamma=4.05e13\n"
+            "omega_rad_s,eps_imag\n1e14,1.0\n1e15,0.1\n1e16,0.01\n"
+        )
+        code, out, err = run_main("ingest-optical", str(path), "--xi-points", "2")
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    def test_output_file_equals_stdout(self, tmp_path):
+        path = self.lorentzian_csv(tmp_path)
+        out_path = tmp_path / "eps.csv"
+        argv = ["ingest-optical", str(path), "--xi-points", "4"]
+        code, out, _ = run_main(*argv)
+        assert code == 0
+        assert run_main(*argv, "--output", str(out_path)) == (0, "", "")
+        assert out_path.read_bytes() == out.encode()
+
+
+class TestTableSurface:
+    XI = np.geomspace(1e12, 1e18, 7)
+
+    def table(self, tmp_path, text):
+        path = tmp_path / "eps.csv"
+        path.write_text(text)
+        surface = {
+            "model": "table",
+            "path": str(path),
+            "extrapolate_low": "constant",
+            "extrapolate_high": "inverse_square",
+        }
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"atom": "rb87", "surface": surface, "z_a_m": 1e-6}))
+        return path, ["eta", "--config", str(config), "--rel-tol", "1e-3"]
+
+    def rows(self):
+        eps = 1.0 + 10.87 * 6.6e15**2 / (6.6e15**2 + self.XI**2)
+        return "".join(f"{x:.12e},{e:.12e}\n" for x, e in zip(self.XI, eps))
+
+    def test_well_formed_table_runs(self, tmp_path):
+        _, argv = self.table(tmp_path, "# origin=test\nxi_rad_s,eps_i_xi\n" + self.rows())
+        code, out, err = run_main(*argv)
+        assert code == 0, err
+        assert len(parse_csv(out)[2]) == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param("xi_rad_s,eps_i_xi\n", id="header-only"),
+            pytest.param("xi_rad_s,eps_i_xi\n{rows}1e19\n", id="one-column"),
+            pytest.param("xi_rad_s,eps_i_xi\n{rows}foo,bar\n", id="junk-cells"),
+            pytest.param("{rows}1e19,1.5,2.0\n", id="three-cells"),
+            pytest.param("{rows}1e19,nan\n", id="nan-cell"),
+        ],
+    )
+    def test_malformed_table_exits_2_naming_the_file(self, tmp_path, bad):
+        path, argv = self.table(tmp_path, bad.format(rows=self.rows()))
+        code, out, err = run_main(*argv)
+        assert (code, out) == (2, "")
+        assert str(path) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestExitCodes:
     def test_unknown_surface_preset(self):
         res = run_cli("plane", "--atom", "rb87", "--surface", "unobtanium", "--z", "1e-6")
@@ -457,9 +521,14 @@ class TestExitCodes:
         ],
     )
     def test_distance_out_of_float_range(self, argv, message):
-        code, out, err = run_main(*argv, "--surface", "gold", "--rel-tol", "1e-3")
+        # A warning would print to stderr ahead of the error line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_main(*argv, "--surface", "gold", "--rel-tol", "1e-3")
         assert (code, out) == (2, "")
         assert message in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize(
         "argv",

@@ -140,6 +140,41 @@ def rb_transitions(osc_rb):
     return transitions_for_vdw(osc_rb)
 
 
+# The k = 0 limits of the g_vdw_* family in their explicit forms, with
+# x = omega_p / omega_n (omega_dl / omega_n for the dielectric).
+def _zero_k_perfect(z, transitions):
+    return -sum(d * d for _, d in transitions) / (16.0 * math.pi * EPS0 * z**4)
+
+
+def _zero_k_plasma(z, transitions, omega_p):
+    total = 0.0
+    for omega, d in transitions:
+        x = omega_p / omega
+        total -= d**2 * x / (16.0 * math.pi * EPS0 * z**4 * (x + math.sqrt(2.0)))
+    return total
+
+
+def _zero_k_plasmon(z, transitions, omega_p):
+    total = 0.0
+    for omega, d in transitions:
+        x = omega_p / omega
+        total -= d**2 * x / (16.0 * math.sqrt(2.0) * math.pi * EPS0 * z**4)
+    return total
+
+
+def _zero_k_drude_lorentz(z, transitions, omega_dl, eps_static):
+    gm = eps_static - 1.0
+    w = math.sqrt(gm + 2.0)
+    total = 0.0
+    for omega, d in transitions:
+        x = omega_dl / omega
+        total -= gm * d**2 * x / (16.0 * math.pi * EPS0 * z**4 * w * (w * x + math.sqrt(2.0)))
+    return total
+
+
+TWO_TRANSITIONS = ((RB87_OMEGA_A, 2.5e-29), (3.1 * RB87_OMEGA_A, 0.9e-29))
+
+
 class TestNonretardedFamily:
     Z, K = 5e-9, 1e8 / 3.0
 
@@ -155,6 +190,22 @@ class TestNonretardedFamily:
             ramp = fn(1e-4 / self.Z, self.Z, rb_transitions, *extra)
             assert ramp == pytest.approx(g0, rel=1e-3)
             assert g0 < 0.0
+
+    @pytest.mark.parametrize(
+        "fn, reference, extra",
+        [
+            (cf.g_vdw_perfect, _zero_k_perfect, ()),
+            (cf.g_vdw_plasma, _zero_k_plasma, (GOLD_OMEGA_P,)),
+            (cf.g_vdw_plasma, _zero_k_plasma, (1e-3 * RB87_OMEGA_A,)),
+            (cf.g_vdw_plasmon, _zero_k_plasmon, (GOLD_OMEGA_P,)),
+            (cf.g_vdw_drude_lorentz, _zero_k_drude_lorentz, (SILICON_OMEGA_DL, SILICON_EPS_STATIC)),
+            (cf.g_vdw_drude_lorentz, _zero_k_drude_lorentz, (0.4 * RB87_OMEGA_A, 3.0)),
+        ],
+    )
+    def test_zero_k_matches_explicit_limit(self, fn, reference, extra):
+        for z in (5e-9, 1e-7):
+            got = fn(0.0, z, TWO_TRANSITIONS, *extra)
+            assert got == pytest.approx(reference(z, TWO_TRANSITIONS, *extra), rel=1e-14)
 
     def test_plasma_reaches_perfect_mirror(self, rb_transitions):
         gp = cf.g_vdw_perfect(self.K, self.Z, rb_transitions)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from cpsurf import optics
+from cpsurf import cli, optics
 from cpsurf._integrate import adaptive_gauss
 from cpsurf.constants import C_LIGHT, GOLD_OMEGA_P, SILICON_EPS_STATIC, SILICON_OMEGA_DL
 
@@ -320,11 +320,18 @@ class TestOpticalCsv:
             optics.read_optical_csv(path)
 
     def test_imaginary_axis_round_trip(self, tmp_path):
+        source = tmp_path / "absorption.csv"
+        w = np.geomspace(1e13, 1e18, 200)
+        im = 1e30 * w / (w**2 + 1e32) ** 1.5
+        source.write_text("".join(f"{a:.12e},{b:.12e}\n" for a, b in zip(w, im)))
         path = tmp_path / "eps_xi.csv"
+        argv = ["ingest-optical", str(source), "--xi-points", "30", "--output", str(path)]
+        assert cli.main(argv) == 0
         xi = np.geomspace(1e13, 1e17, 30)
-        eps = 1.0 + 1e31 / xi**2
-        optics.write_imaginary_axis_csv(path, xi, eps, header_lines=["origin=test"])
+        eps = optics.kramers_kronig_imaginary_axis(optics.read_optical_csv(source), xi)
         tab = optics.read_imaginary_axis_csv(path)
+        assert np.allclose(tab.xi, xi, rtol=1e-12, atol=0.0)
         assert tab.eps(xi[7]) == pytest.approx(eps[7], rel=1e-12)
-        text = path.read_text()
-        assert text.startswith("# origin=test\nxi_rad_s,eps_i_xi\n")
+        lines = path.read_text().splitlines()
+        assert "# source=absorption.csv" in lines
+        assert lines[lines.index("xi_rad_s,eps_i_xi") - 1].startswith("# ")
