@@ -2,6 +2,8 @@
 
 The atom enters the interaction through its dynamic electric
 polarizability alpha(i xi) at imaginary frequency (SI units, C m^2 / V).
+Tabulated alpha is interpolated by ``optics._pchip``, the in-repo numpy
+port of SciPy's monotone cubic (PCHIP) interpolator.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .constants import EPS0, HBAR, RB87_ALPHA0_VOLUME, RB87_OMEGA_A
+from .optics import _pchip
 
 __all__ = [
     "Transition",
@@ -117,7 +119,7 @@ class TabulatedPolarizability:
             raise ValueError("alpha(i xi) must be non-increasing")
         self.xi = xi
         self.alpha_samples = alpha
-        self._interp = PchipInterpolator(xi, alpha)
+        self._interp = _pchip(xi, alpha)
 
     def alpha(self, xi):
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))

@@ -6,7 +6,9 @@ absorption data Im eps(omega) into eps(i xi).
 
 Measured data, real-axis ``omega_rad_s,eps_imag`` or imaginary-axis
 ``xi_rad_s,eps_i_xi``, comes in as two-column CSV through one reader,
-which rejects a malformed file with a ValueError naming it.
+which rejects a malformed file with a ValueError naming it. Tables are
+interpolated by ``_pchip``, an in-repo numpy port of SciPy's monotone
+cubic (PCHIP) interpolator, so importing cpsurf does not import scipy.
 
 Everything is evaluated at imaginary frequency omega = i xi (xi >= 0),
 where eps is real and >= 1 for passive media and all integrands that use
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._integrate import adaptive_gauss_rows
 from .constants import (
@@ -46,6 +47,67 @@ __all__ = [
     "gold_plasma",
     "silicon_drude_lorentz",
 ]
+
+
+def _pchip(x, y):
+    """Monotone piecewise-cubic Hermite interpolant (PCHIP) through the
+    samples y at the strictly ascending nodes x, as a function of an array
+    of query points.
+
+    A port of SciPy's PCHIP interpolator (Fritsch-Butland slopes):
+    an interior slope is the weighted harmonic mean of its two secants, or
+    0 where they change sign or either is 0; the end slopes use the
+    one-sided three-point formula, set to 0 where its sign differs from the
+    end secant's and to 3x that secant where it would overshoot; two
+    samples give the straight line. The local cubic is summed by powers of
+    s in SciPy's order, which matched SciPy 1.17's values bit for bit.
+    Queries outside [x[0], x[-1]] take the end cubic, so a node one ulp
+    past the table stays on it.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        d = np.zeros_like(y)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        keep = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][keep] = 1.0 / whmean[keep]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    # Local cubic c0 s^3 + c1 s^2 + c2 s + c3 in s = q - x[i].
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c0 = t / h
+    c1 = (m - d[:-1]) / h - t
+    c2 = d[:-1]
+    c3 = y[:-1]
+    inner = x[1:-1]
+
+    def evaluate(q):
+        q = np.asarray(q, dtype=float)
+        # Interval index: interior nodes <= q, so the end intervals also
+        # take the queries beyond them.
+        i = np.searchsorted(inner, q, side="right")
+        s = q - x[i]
+        return c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+
+    return evaluate
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """End slope of ``_pchip`` from the two end intervals h0, h1 and their
+    secants m0, m1 (h0, m0 the outermost)."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 @dataclass(frozen=True)
@@ -146,8 +208,9 @@ class DrudeLorentz:
 class TabulatedPermittivity:
     """eps(i xi) sampled on an ascending xi > 0 grid.
 
-    Interpolation is monotone cubic (PCHIP) in log xi vs log(eps - 1), so
-    interpolated values stay >= 1 and follow power-law segments exactly.
+    Interpolation is monotone cubic (PCHIP, the in-repo ``_pchip`` port of
+    SciPy's) in log xi vs log(eps - 1), so interpolated values stay >= 1
+    and follow power-law segments exactly.
     Out-of-range queries raise unless an extrapolation mode is declared:
 
     * ``extrapolate_low``: "strict", "constant" (dielectric plateau) or
@@ -176,7 +239,7 @@ class TabulatedPermittivity:
             raise ValueError("xi samples must be positive")
         if eps.shape != xi.shape:
             raise ValueError("xi and eps shapes differ")
-        if not np.all(eps > 1.0):
+        if not np.all(eps > 1.0) or not (eps_zero is None or eps_zero > 1.0):
             raise ValueError("tabulated eps(i xi) must exceed 1")
         if extrapolate_low not in ("strict", "constant", "inverse_square"):
             raise ValueError(f"unknown extrapolate_low {extrapolate_low!r}")
@@ -187,7 +250,7 @@ class TabulatedPermittivity:
         self.extrapolate_low = extrapolate_low
         self.extrapolate_high = extrapolate_high
         self.eps_zero = eps_zero
-        self._interp = PchipInterpolator(np.log(xi), np.log(eps - 1.0))
+        self._interp = _pchip(np.log(xi), np.log(eps - 1.0))
 
     def eps(self, xi):
         scalar = np.ndim(xi) == 0
@@ -419,7 +482,7 @@ def kramers_kronig_imaginary_axis(
     if np.any(xi_arr < 0.0):
         raise ValueError("xi must be non-negative")
     omega = data.omega
-    interp = PchipInterpolator(omega, data.eps_imag)
+    interp = _pchip(omega, data.eps_imag)
     t_lo, t_hi = math.log(omega[0]), math.log(omega[-1])
     owner, los, his = [], [], []
     for i, x in enumerate(xi_arr):
@@ -504,16 +567,23 @@ def read_imaginary_axis_csv(
     extrapolate_low: str = "strict",
     extrapolate_high: str = "strict",
 ) -> TabulatedPermittivity:
-    """Read `xi_rad_s,eps_i_xi` rows; a row at xi = 0 becomes ``eps_zero``."""
+    """Read `xi_rad_s,eps_i_xi` rows; a row at xi = 0 becomes ``eps_zero``.
+
+    A table the model rejects (fewer than two xi > 0 samples, xi not
+    ascending, eps <= 1) is a ValueError that names the file.
+    """
     rows, _ = _read_two_columns(path, "xi_rad_s,eps_i_xi")
     zero = rows[:, 0] == 0.0
-    return TabulatedPermittivity(
-        rows[~zero, 0],
-        rows[~zero, 1],
-        extrapolate_low=extrapolate_low,
-        extrapolate_high=extrapolate_high,
-        eps_zero=float(rows[zero, 1][-1]) if zero.any() else None,
-    )
+    try:
+        return TabulatedPermittivity(
+            rows[~zero, 0],
+            rows[~zero, 1],
+            extrapolate_low=extrapolate_low,
+            extrapolate_high=extrapolate_high,
+            eps_zero=float(rows[zero, 1][-1]) if zero.any() else None,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def gold_plasma() -> PlasmaMetal:

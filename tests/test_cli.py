@@ -353,6 +353,62 @@ class TestTableSurface:
         assert str(path) in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("1e14,0.5\n1e15,0.4\n", "must exceed 1", id="eps-at-most-1"),
+            pytest.param("0,0.5\n1e14,3.0\n1e15,2.0\n", "must exceed 1", id="eps-at-zero-xi"),
+            pytest.param("1e15,3.0\n1e14,4.0\n", "strictly ascending", id="xi-descending"),
+            pytest.param("0,12.0\n1e14,3.0\n", "at least two", id="one-sample"),
+        ],
+    )
+    def test_rejected_table_exits_2_naming_the_file(self, tmp_path, text, message):
+        # The rows parse, but the model rejects the values they hold.
+        path, argv = self.table(tmp_path, text)
+        code, out, err = run_main(*argv)
+        assert (code, out) == (2, "")
+        assert str(path) in err and message in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# Runs in a fresh interpreter: every table path of the CLI, then the
+# modules loaded on the way. argv[1] is a scratch directory.
+_SCIPY_FREE_RUN = """
+import json, sys
+from pathlib import Path
+import numpy as np
+import cpsurf
+from cpsurf import atomics, cli
+
+tmp = Path(sys.argv[1])
+w = np.geomspace(1e13, 1e18, 200)
+source = tmp / "absorption.csv"
+source.write_text("".join(f"{a:.12e},{b:.12e}\\n" for a, b in zip(w, 1e30 * w / (w**2 + 1e32) ** 1.5)))
+table = tmp / "eps_xi.csv"
+assert cli.main(["ingest-optical", str(source), "--xi-points", "20", "--output", str(table)]) == 0
+surface = {"model": "table", "path": str(table), "extrapolate_low": "constant",
+           "extrapolate_high": "inverse_square"}
+assert cli.build_surface(surface).eps(1e15) > 1.0
+config = tmp / "cfg.json"
+config.write_text(json.dumps({"atom": "rb87", "surface": surface, "z_a_m": 1e-6}))
+assert cli.main(["plane", "--config", str(config), "--rel-tol", "1e-3"]) == 0
+xi = np.geomspace(1e12, 1e17, 10)
+assert atomics.TabulatedPolarizability(xi, 1.0 / (1.0 + xi / 1e15)).alpha(3e14) > 0.0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestImportGuard:
+    def test_cli_runs_tables_without_scipy(self, tmp_path):
+        # scipy.interpolate alone used to cost most of the CLI's start-up.
+        res = subprocess.run(
+            [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
+
 
 class TestExitCodes:
     def test_unknown_surface_preset(self):
@@ -719,5 +775,46 @@ class TestContractFuzz:
             value = data.draw(_X_POINTS if flag == "--x-points" else _FLAG_VALUE)
             argv.append(f"{flag}={value}")
         code, _, err = run_main(*argv)
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+
+
+# Table files for the fuzz: 1 to 6 rows drawn from few values, so that
+# duplicate and unsorted xi, eps <= 1 and a row at xi = 0 all come up.
+# Half the tables are sorted with one row per xi, so that some runs reach
+# the quadrature.
+_TABLE_ROW = st.tuples(
+    st.sampled_from([0.0, 1e12, 1e14, 3e15, 1e17, 1e19]),
+    st.sampled_from([0.5, 1.0, 1.0 + 1e-12, 2.0, 11.87, 1e6]),
+)
+_TABLE_SURFACE = st.fixed_dictionaries(
+    {
+        "model": st.just("table"),
+        "extrapolate_low": st.sampled_from(["strict", "constant", "inverse_square"]),
+        "extrapolate_high": st.sampled_from(["strict", "inverse_square"]),
+    }
+)
+
+
+class TestTableFuzz:
+    @given(
+        rows=st.lists(_TABLE_ROW, min_size=1, max_size=6),
+        tidy=st.booleans(),
+        header=st.booleans(),
+        surface=_TABLE_SURFACE,
+        z=st.sampled_from([1e-6, 3e-7]),
+        max_panels=st.sampled_from([4, 16, 64]),
+    )
+    @hyp_settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exit_code_is_0_2_or_3(self, fuzz_config, rows, tidy, header, surface, z, max_panels):
+        if tidy:
+            rows = sorted(dict(rows).items())
+        table = fuzz_config.with_name("eps.csv")
+        lines = ["xi_rad_s,eps_i_xi"] if header else []
+        table.write_text("\n".join(lines + [f"{x!r},{e!r}" for x, e in rows]) + "\n")
+        surface["path"] = str(table)
+        config = {"atom": "rb87", "surface": surface, "z_a_m": z, "quadrature": {"max_panels": max_panels}}
+        fuzz_config.write_text(json.dumps(config))
+        code, _, err = run_main("plane", "--config", str(fuzz_config), "--rel-tol", "1e-3")
         assert code in (0, 2, 3), err
         assert "Traceback" not in err

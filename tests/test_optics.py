@@ -179,6 +179,86 @@ class TestFresnel:
             optics.fresnel(optics.gold_plasma(), 0.0, 0.0)
 
 
+def _assert_matches_scipy(x, y, q):
+    got = optics._pchip(x, y)(q)
+    want = PchipInterpolator(x, y)(q)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(y))
+
+
+def _one_ulp_outside(x):
+    return np.array([np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)])
+
+
+class TestPchip:
+    """optics._pchip against SciPy's PchipInterpolator, the reference it
+    ports, within 1e-14 of the largest sample."""
+
+    def test_lorentz_spectrum(self):
+        omega0, omega_p, gamma = 3e15, 1.2e15, 2e14
+        w = np.geomspace(omega0 / 100.0, omega0 * 100.0, 3000)
+        im = omega_p**2 * gamma * w / ((omega0**2 - w**2) ** 2 + gamma**2 * w**2)
+        q = np.concatenate((np.geomspace(w[0], w[-1], 11016), w, _one_ulp_outside(w)))
+        _assert_matches_scipy(w, im, q)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_data_with_flat_runs_and_sign_changes(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(0.05, 2.0, 40))
+        y = np.round(rng.normal(size=40), 1)  # repeats give flat runs
+        y[10:14] = y[10]
+        q = np.concatenate((np.linspace(x[0], x[-1], 997), x, _one_ulp_outside(x)))
+        _assert_matches_scipy(x, y, q)
+
+    def test_two_point_table_is_linear(self):
+        x, y = np.array([1.0, 3.0]), np.array([2.0, -4.0])
+        q = np.concatenate((np.linspace(1.0, 3.0, 9), _one_ulp_outside(x)))
+        _assert_matches_scipy(x, y, q)
+        assert np.allclose(optics._pchip(x, y)(q), 2.0 - 3.0 * (q - 1.0), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "y", [[0.0, 1.0, 4.0], [0.0, 1.0, 1.0], [1.0, -1.0, 1.0], [2.0, 2.0, 2.0]]
+    )
+    def test_three_point_tables(self, y):
+        x, y = np.array([0.0, 0.5, 2.0]), np.array(y)
+        q = np.concatenate((np.linspace(0.0, 2.0, 41), _one_ulp_outside(x)))
+        _assert_matches_scipy(x, y, q)
+
+    def test_end_slope_clamped_to_three_secants(self):
+        # Secants 1 then -6: the three-point end slope 4.5 overshoots and
+        # is clamped to 3 m0 = 3.
+        x, y = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, -5.0])
+        assert optics._pchip_end_slope(1.0, 1.0, 1.0, -6.0) == 3.0
+        assert PchipInterpolator(x, y).derivative()(0.0) == 3.0
+        q = np.concatenate((np.linspace(0.0, 2.0, 41), _one_ulp_outside(x)))
+        _assert_matches_scipy(x, y, q)
+
+    def test_one_ulp_outside_takes_the_end_cubic(self):
+        x = np.geomspace(1e13, 1e17, 12)
+        y = 1e30 / x**2
+        q = _one_ulp_outside(x)
+        _assert_matches_scipy(x, y, q)
+        assert np.allclose(optics._pchip(x, y)(q), y[[0, -1]], rtol=1e-14, atol=0.0)
+
+    @given(
+        gaps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=12),
+        steps=st.data(),
+    )
+    @hyp_settings(max_examples=150, deadline=None)
+    def test_monotone_data_stays_monotone(self, gaps, steps):
+        x = np.cumsum([0.0, *gaps])
+        rises = steps.draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+                min_size=len(gaps),
+                max_size=len(gaps),
+            )
+        )
+        sign = steps.draw(st.sampled_from([1.0, -1.0]))
+        y = sign * np.cumsum([0.0, *rises])
+        vals = optics._pchip(x, y)(np.linspace(x[0], x[-1], 400))
+        assert np.all(sign * np.diff(vals) >= -1e-13 * max(abs(y[-1]), 1.0))
+
+
 class TestTabulatedPermittivity:
     def test_power_law_interpolation_is_exact(self):
         # PCHIP in log-log follows eps - 1 = A / xi^2 exactly.
@@ -252,7 +332,7 @@ class TestKramersKronig:
         # the closed-form tail: the scalar form of the transform.
         data, omega0, _, _ = _lorentzian_table(n=700)
         xi = np.array([0.0, omega0 / 500.0, omega0 / 3.0, omega0, 7.0 * omega0, 1e3 * omega0])
-        interp = PchipInterpolator(data.omega, data.eps_imag)
+        interp = optics._pchip(data.omega, data.eps_imag)
         t_lo, t_hi = math.log(data.omega[0]), math.log(data.omega[-1])
         want = []
         for x in xi:
