@@ -15,11 +15,20 @@ of the same rule, each round handing the new k' nodes of every working
 row to a row integrand in one call. The plane's integrand is one Fresnel
 call (a xi column against the k lines). The response's integrand runs,
 per row, the angular integral of all its k' nodes at once by nested
-Clenshaw-Curtis. The k' leg of the kernel (its Fresnel set and the TM
-denominator) depends on k' only, so kernel_point builds it on the k'
-column and broadcasts it against the k'' x angle grid; each
-Clenshaw-Curtis doubling is a new kernel_point call, so the leg is
-rebuilt at every doubling.
+Clenshaw-Curtis. Near k' = k the wavenumber k'' = |k' - k| nearly
+vanishes at phi = 0, a near-singularity at a distance of about
+delta = |k' - k| / sqrt(k' k) from the real phi axis, so each k' node
+integrates over t in [0, pi] with the sinh map phi = delta sinh(mu t / pi),
+mu = asinh(pi / delta), which spreads the nodes near phi = 0 on the
+scale delta and tends to the identity for large delta. The first
+angular check (33 against 17 points) is one kernel_point call; at k = 0
+the angle between k' and k'' vanishes, the phi integrand is constant,
+and the angular integral is pi times one kernel node per k', with no
+Clenshaw-Curtis rule. The k' leg of the kernel (its Fresnel set and the
+TM denominator) depends on k' only, so kernel_point builds it on the k'
+column and broadcasts it against the k'' x angle grid; each further
+Clenshaw-Curtis doubling is a new kernel_point call, so the leg is still
+rebuilt at every doubling after the first check.
 Inner tolerances are set below the requested one so the reported error,
 outer estimate plus a tolerance-sized pad, is trustworthy. A
 ConvergenceError names the layer that failed ("xi", "kprime" or "phi"),
@@ -68,6 +77,9 @@ _OUTER_FRAC = 0.5
 _INNER_FRAC = 0.25
 _ANGULAR_FRAC = 0.05
 _REPORT_PAD = 0.3
+# Floor of the angular map's scale delta = |k' - k| / sqrt(k' k): below
+# it, k' - k is rounding (k' = k exactly gives delta = 0).
+_DELTA_MIN = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,9 @@ class QuadratureSettings:
         if self.max_panels < 4:
             raise ValueError("panel budget must fit the initial split of 4 panels")
         if self.angular_max_half < 8:
-            raise ValueError("angular budget must fit the initial half-order 8")
+            raise ValueError(
+                "angular budget must fit the half-order 8 of the first check (33 vs 17 points)"
+            )
         if not self.kz_cutoff > 0.0:
             raise ValueError("kz_cutoff must be positive")
 
@@ -239,8 +253,27 @@ def response_g(
         # The k' leg goes in as the (n, 1) column, so its optics run once
         # per k' node and broadcast over k'' and phi.
         kp_col = kp[:, None]
+        if k_corr == 0.0:
+            # k'' = k' and the angle between them vanishes for every phi,
+            # so the phi integrand is constant: pi times one node.
+            point = kernel_point(
+                surface, xi, kp_col, kp_col, np.ones_like(kp_col), np.zeros_like(kp_col)
+            )
+            return np.pi * kernel(point, z_atom)[:, 0]
 
-        def f_phi(phi: np.ndarray) -> np.ndarray:
+        # Sinh map phi = delta sinh(mu t / pi) on t in [0, pi], with
+        # mu = asinh(pi / delta) so that t = pi is phi = pi. k'' vanishes
+        # near phi = +-i delta, and the map spreads the nodes near phi = 0
+        # on that scale (Johnston & Elliott, IJNME 62, 2005). Large delta
+        # tends to the identity map; the clip keeps mu finite and nonzero.
+        delta = np.clip(
+            np.abs(kp_col - k_corr) / np.sqrt(kp_col * k_corr), _DELTA_MIN, 1.0 / _DELTA_MIN
+        )
+        mu = np.arcsinh(np.pi / delta)
+
+        def f_phi(t: np.ndarray) -> np.ndarray:
+            s = mu * (t / np.pi)
+            phi = delta * np.sinh(s)
             # Half-angle form keeps k'' = |k' - k| cancellation-free
             # near phi = 0; the direction cosines are true cosines,
             # clipped only to shed rounding overshoot.
@@ -257,7 +290,7 @@ def response_g(
             # ratio -0; its limit phi -> 0+ is -1.
             sin_d = np.where(kpp > 0.0, sin_d, -1.0)
             point = kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d)
-            return kernel(point, z_atom)
+            return kernel(point, z_atom) * ((mu * delta / np.pi) * np.cosh(s))
 
         with _layer("phi", xi, kp):
             vals, _ = cc_batch(

@@ -131,6 +131,14 @@ class TestResponse:
             column(parse_csv(by_k.stdout), "g_N")[0], rel=1e-9
         )
 
+    def test_tight_tolerance_near_k_converges(self):
+        # k' nodes close to k must not make the phi layer fail (exit 3).
+        res = run_cli(
+            "response", "--surface", "gold", "--kz", "6", "--z", "1e-6", "--rel-tol", "1e-9"
+        )
+        assert_clean_exit(res, 0)
+        assert column(parse_csv(res.stdout), "g_N")[0] < 0.0
+
     def test_cutoff_points_warn_and_zero(self):
         res = run_cli("response", *STATIC_MIRROR, *FAST, "--z", "1e-6", "--kz", "1,50")
         assert res.returncode == 0

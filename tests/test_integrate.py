@@ -267,3 +267,39 @@ class TestCcBatch:
         with pytest.raises(ConvergenceError) as info:
             cc_batch(lambda phi: n * np.sin(n * phi) ** 2, 1e-12, max_half=16)
         assert info.value.row == 2
+
+    def test_first_check_is_one_call_of_33_points(self):
+        # exp(a cos phi) converges at the first check; the single 33-point
+        # call must give the bits of 17 points and then the 16 odd ones.
+        a = np.array([[0.25], [0.5], [1.0]])
+
+        def f(phi):
+            return np.exp(a * np.cos(phi))
+
+        rec = Recorder(f)
+        vals, delta = cc_batch(rec, 1e-10)
+        assert rec.sizes == [33]
+
+        x17, w17 = _integrate._cc_rule(8)
+        x33, w33 = _integrate._cc_rule(16)
+        f17 = f(0.5 * np.pi * (x17 + 1.0))
+        f33 = np.empty((3, 33))
+        f33[:, ::2] = f17
+        f33[:, 1::2] = f(0.5 * np.pi * (x33[1::2] + 1.0))
+        q17 = 0.5 * np.pi * (f17 @ w17)
+        q33 = 0.5 * np.pi * (f33 @ w33)
+        assert np.array_equal(vals, q33)
+        assert delta == float(np.max(np.abs(q33 - q17)))
+
+    def test_each_doubling_adds_the_odd_nodes(self):
+        rec = Recorder(lambda phi: np.sin(20.0 * phi) ** 2)
+        vals, _ = cc_batch(rec, 1e-12)
+        assert rec.sizes[0] == 33
+        assert rec.sizes[1:] == [32 * 2**i for i in range(len(rec.sizes) - 1)]
+        assert float(vals) == pytest.approx(0.5 * math.pi, rel=1e-12)
+
+    def test_smallest_budget_stops_after_first_check(self):
+        rec = Recorder(lambda phi: np.sin(30.0 * phi) ** 2)
+        with pytest.raises(ConvergenceError, match="33 points"):
+            cc_batch(rec, 1e-12, max_half=8)
+        assert rec.sizes == [33]

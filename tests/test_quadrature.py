@@ -34,7 +34,8 @@ def plane_per_xi_reference(atom, surface, z, settings, force):
 
 def response_per_xi_reference(atom, surface, z, k_corr, settings):
     """response_g as a scalar loop: one k' adaptive per xi node, and one
-    angular batch per k' adaptive step."""
+    angular batch per k' adaptive step (the same sinh map, and at k = 0 the
+    same single node per k')."""
     k0 = 1.0 / z
     kernel = quad.a_perfect if surface.is_perfect else quad.a_exact
 
@@ -43,15 +44,29 @@ def response_per_xi_reference(atom, surface, z, k_corr, settings):
             kp = k0 * v / (1.0 - v)
             jac = k0 / (1.0 - v) ** 2
             kp_col = kp[:, None]
+            if k_corr == 0.0:
+                point = quad.kernel_point(
+                    surface, xi, kp_col, kp_col, np.ones_like(kp_col), np.zeros_like(kp_col)
+                )
+                return jac * kp * (np.pi * kernel(point, z)[:, 0])
+            delta = np.clip(
+                np.abs(kp_col - k_corr) / np.sqrt(kp_col * k_corr),
+                quad._DELTA_MIN,
+                1.0 / quad._DELTA_MIN,
+            )
+            mu = np.arcsinh(np.pi / delta)
 
-            def f_phi(phi):
+            def f_phi(t):
+                s = mu * (t / np.pi)
+                phi = delta * np.sinh(s)
                 sin_half2 = np.sin(0.5 * phi) ** 2
                 kpp = np.sqrt((kp_col - k_corr) ** 2 + 4.0 * kp_col * k_corr * sin_half2)
                 safe = np.maximum(kpp, 1e-300)
                 cos_d = np.clip(((kp_col - k_corr) + 2.0 * k_corr * sin_half2) / safe, -1.0, 1.0)
                 sin_d = np.clip(-k_corr * np.sin(phi) / safe, -1.0, 1.0)
                 sin_d = np.where(kpp > 0.0, sin_d, -1.0)
-                return kernel(quad.kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d), z)
+                point = quad.kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d)
+                return kernel(point, z) * ((mu * delta / np.pi) * np.cosh(s))
 
             vals, _ = cc_batch(
                 f_phi, quad._ANGULAR_FRAC * settings.rel_tol, max_half=settings.angular_max_half
@@ -193,6 +208,36 @@ class TestResponse:
         g0 = quad.response_g(static_rb, mirror, z, 0.0, fast_settings)
         f0 = quad.plane_force(static_rb, mirror, z, fast_settings)
         assert g0.value == pytest.approx(f0.value, rel=1e-6)
+
+    @pytest.mark.parametrize("surface_name", ["silicon", "gold", "mirror"])
+    def test_zero_k_runs_no_angular_rule(self, monkeypatch, request, osc_rb, surface_name):
+        # At k = 0 the phi integrand is constant: one kernel node per k',
+        # no Clenshaw-Curtis batch.
+        surface = request.getfixturevalue(surface_name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return cc_batch(*args, **kwargs)
+
+        monkeypatch.setattr(quad, "cc_batch", spy)
+        z, s = 1e-6, QuadratureSettings()
+        g0 = quad.response_g(osc_rb, surface, z, 0.0, s)
+        f0 = quad.plane_force(osc_rb, surface, z, s)
+        assert calls == []
+        assert abs(g0.value - f0.value) <= g0.error + f0.error
+
+    @pytest.mark.parametrize("surface_name", ["silicon", "gold"])
+    @pytest.mark.parametrize("kz", [3.0, 6.0])
+    def test_tight_tolerance_converges_near_k(self, request, osc_rb, surface_name, kz):
+        # Near k' = k, k'' nearly vanishes at phi = 0 (k' nodes come within
+        # 1e-4 of k here); the phi layer must still converge at 1e-10, and
+        # the tight value lie within the default run's reported error.
+        surface = request.getfixturevalue(surface_name)
+        z = 1e-6
+        tight = quad.response_g(osc_rb, surface, z, kz / z, QuadratureSettings(rel_tol=1e-10))
+        loose = quad.response_g(osc_rb, surface, z, kz / z, QuadratureSettings())
+        assert abs(tight.value - loose.value) <= loose.error
 
     def test_mirror_family_closed_form(self, static_rb, mirror, fast_settings):
         z = 1e-6
