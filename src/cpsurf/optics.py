@@ -2,7 +2,9 @@
 
 Permittivity models eps(i xi), Fresnel coefficients for a planar
 interface, and the Kramers-Kronig transform that turns measured real-axis
-absorption data Im eps(omega) into eps(i xi).
+absorption data Im eps(omega) into eps(i xi). The transform integrates
+the PCHIP interpolant of the data in closed form, segment by segment, so
+it is exact for the interpolant up to rounding and takes no tolerance.
 
 Measured data, real-axis ``omega_rad_s,eps_imag`` or imaginary-axis
 ``xi_rad_s,eps_i_xi``, comes in as two-column CSV through one reader,
@@ -23,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._integrate import adaptive_gauss_rows
 from .constants import (
     C_LIGHT,
     GOLD_OMEGA_P,
@@ -49,20 +50,18 @@ __all__ = [
 ]
 
 
-def _pchip(x, y):
-    """Monotone piecewise-cubic Hermite interpolant (PCHIP) through the
-    samples y at the strictly ascending nodes x, as a function of an array
-    of query points.
+def _pchip_cubic(x, y):
+    """Interval widths h and the local cubic of the monotone piecewise-cubic
+    Hermite interpolant (PCHIP) through the samples y at the strictly
+    ascending nodes x: on interval i, in s = q - x[i], it is
+    c0 s^3 + c1 s^2 + c2 s + c3, with (c0, c1, c2, c3) = c[:, i].
 
     A port of SciPy's PCHIP interpolator (Fritsch-Butland slopes):
     an interior slope is the weighted harmonic mean of its two secants, or
     0 where they change sign or either is 0; the end slopes use the
     one-sided three-point formula, set to 0 where its sign differs from the
     end secant's and to 3x that secant where it would overshoot; two
-    samples give the straight line. The local cubic is summed by powers of
-    s in SciPy's order, which matched SciPy 1.17's values bit for bit.
-    Queries outside [x[0], x[-1]] take the end cubic, so a node one ulp
-    past the table stays on it.
+    samples give the straight line. The coefficients are SciPy's.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -80,12 +79,21 @@ def _pchip(x, y):
         d[1:-1][keep] = 1.0 / whmean[keep]
         d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
         d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    # Local cubic c0 s^3 + c1 s^2 + c2 s + c3 in s = q - x[i].
     t = (d[:-1] + d[1:] - 2.0 * m) / h
-    c0 = t / h
-    c1 = (m - d[:-1]) / h - t
-    c2 = d[:-1]
-    c3 = y[:-1]
+    return h, np.array([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def _pchip(x, y):
+    """The PCHIP interpolant of ``_pchip_cubic`` as a function of an array
+    of query points.
+
+    The local cubic is summed by powers of s in SciPy's order, which
+    matched SciPy 1.17's values bit for bit. Queries outside
+    [x[0], x[-1]] take the end cubic, so a node one ulp past the table
+    stays on it.
+    """
+    x = np.asarray(x, dtype=float)
+    _, (c0, c1, c2, c3) = _pchip_cubic(x, y)
     inner = x[1:-1]
 
     def evaluate(q):
@@ -467,50 +475,88 @@ def _tail_segment(omega_n: float, eps_imag_n: float, xi: float) -> float:
     )
 
 
-def kramers_kronig_imaginary_axis(
-    data: RealAxisOpticalData, xi, rel_tol: float = 1e-8
-) -> np.ndarray:
+# A segment whose |h / (omega_i + i xi)| is below this bound is summed as a
+# power series; at or above it, by the log1p recurrence, whose rounding
+# grows like |(omega_i + i xi) / h|^3 <= 64. numpy's complex log1p(q) is
+# log(1 + q), which is accurate only where |q| is not small.
+_SERIES_MAX_RATIO = 0.25
+
+
+def _series_terms(r: float) -> int:
+    """Terms of the series in q = h / (omega_i + i xi) that leave its
+    remainder below 2^-53 of the first term for every |q| <= r; the
+    moments of a non-negative cubic decrease with n, so r^n / (1 - r)
+    bounds it."""
+    if r == 0.0:
+        return 1
+    return max(1, math.ceil(math.log(2.0**-53 * (1.0 - r)) / math.log(r)))
+
+
+def _segment_integrals(lo, h, a, moments, x: float) -> np.ndarray:
+    """Int omega P(omega) / (omega^2 + xi^2) over every data segment
+    [lo, lo + h] at xi = x, for the cubic P(lo + h t) = sum_k a[k] t^k.
+
+    omega / (omega^2 + xi^2) = Re 1 / (omega + i xi), so each segment is
+    Re sum_k a[k] J_k with J_k = Int_0^1 t^k / (t + c) dt and
+    c = (lo + i x) / h = 1 / q. Where |q| is small,
+    sum_k a[k] J_k = sum_n moments[n] (-1)^n q^(n+1), by Horner; elsewhere
+    J_0 = log1p(q) and J_k = 1/k - c J_(k-1).
+    """
+    q = h / (lo + 1j * x)
+    r = np.abs(q)
+    far = r < _SERIES_MAX_RATIO
+    qf = np.where(far, q, 0.0)
+    m = moments[: _series_terms(float(np.max(r, where=far, initial=0.0)))]
+    acc = m[-1]
+    for row in m[-2::-1]:
+        acc = row - qf * acc
+    out = (qf * acc).real
+    near = ~far
+    if near.any():
+        c = (lo[near] + 1j * x) / h[near]
+        j = np.log1p(q[near])
+        total = a[0][near] * j
+        for k in (1, 2, 3):
+            j = 1.0 / k - c * j
+            total = total + a[k][near] * j
+        out[near] = total.real
+    return out
+
+
+def kramers_kronig_imaginary_axis(data: RealAxisOpticalData, xi) -> np.ndarray:
     """eps(i xi) = 1 + (2/pi) Int_0^inf omega Im eps(omega) / (omega^2 + xi^2) domega.
 
-    The data segment is integrated adaptively in log omega, split at
-    omega = xi; the Drude continuation below the data and the 1/omega^3
-    tail above it are added in closed form. The data integrals of every
-    (xi, segment) pair run as rows of one lock-step adaptive, so each
-    round evaluates the PCHIP interpolant once for all of them.
+    Over the data the integrand is the PCHIP interpolant of Im eps, a cubic
+    on each segment, so the integral has a closed form per segment
+    (``_segment_integrals``); the Drude continuation below the data and
+    the 1/omega^3 tail above it are closed forms too. The result is the
+    exact integral of the interpolant up to rounding, with no tolerance.
+    Each xi is one ``math.fsum`` over its own segments, so its value has
+    the same bits whatever other xi come in the same call.
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xi_arr < 0.0):
-        raise ValueError("xi must be non-negative")
+    if not np.all(np.isfinite(xi_arr) & (xi_arr >= 0.0)):
+        raise ValueError("xi must be finite and non-negative")
     omega = data.omega
-    interp = _pchip(omega, data.eps_imag)
-    t_lo, t_hi = math.log(omega[0]), math.log(omega[-1])
-    owner, los, his = [], [], []
-    for i, x in enumerate(xi_arr):
-        splits = [t_lo, t_hi]
-        if omega[0] < x < omega[-1]:
-            splits = [t_lo, math.log(x), t_hi]
-        for lo, hi in zip(splits[:-1], splits[1:]):
-            owner.append(i)
-            los.append(lo)
-            his.append(hi)
-    x2 = np.float_power(xi_arr[owner], 2)  # pow, as for a scalar xi
-
-    def integrand(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        w = np.exp(t)
-        return w**2 * interp(w) / (w**2 + x2[rows])
-
-    seg_vals, _ = adaptive_gauss_rows(integrand, los, his, rel_tol=rel_tol)
-    totals = [0.0] * xi_arr.size
-    for i, val in zip(owner, seg_vals.tolist()):
-        totals[i] += val
+    h, (c0, c1, c2, c3) = _pchip_cubic(omega, data.eps_imag)
+    # The cubic in t = (omega - omega_i) / h on [0, 1], and its moments
+    # Int_0^1 P(t) t^n dt.
+    a = (c3, c2 * h, c1 * h**2, c0 * h**3)
+    moments = np.array(
+        [
+            a[0] / (n + 1) + a[1] / (n + 2) + a[2] / (n + 3) + a[3] / (n + 4)
+            for n in range(_series_terms(_SERIES_MAX_RATIO))
+        ]
+    )
+    lo = omega[:-1]
+    tail_eps = float(data.eps_imag[-1])
     out = np.empty_like(xi_arr)
-    for i, (x, total) in enumerate(zip(xi_arr, totals)):
+    for i, x in enumerate(xi_arr.tolist()):
+        parts = _segment_integrals(lo, h, a, moments, x).tolist()
         if data.drude_omega_p is not None:
-            total += _drude_segment(
-                omega[0], data.drude_omega_p, data.drude_gamma, float(x)
-            )
-        total += _tail_segment(omega[-1], float(data.eps_imag[-1]), float(x))
-        out[i] = 1.0 + (2.0 / math.pi) * total
+            parts.append(_drude_segment(omega[0], data.drude_omega_p, data.drude_gamma, x))
+        parts.append(_tail_segment(omega[-1], tail_eps, x))
+        out[i] = 1.0 + (2.0 / math.pi) * math.fsum(parts)
     return out if np.ndim(xi) else float(out[0])
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from cpsurf import cli
+from cpsurf import cli, optics
 from cpsurf.closedforms import rho_cp_perf
 
 
@@ -308,6 +308,30 @@ class TestIngestOptical:
         assert (code, out) == (2, "")
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--xi-max", "inf"], "--xi-max"),
+            (["--xi-min", "1e17", "--xi-max", "1e13"], "--xi-max"),
+            (["--xi-points", "0"], "--xi-points"),
+            (["--xi-min", "nan"], "--xi-min"),
+            (["--xi-min", "0"], "--xi-min"),
+        ],
+    )
+    def test_bad_xi_grid_exits_2_naming_the_flag(self, tmp_path, flags, flag):
+        path = tmp_path / "vac.csv"
+        path.write_text("omega_rad_s,eps_imag\n1e14,0.0\n1e15,0.0\n1e16,0.0\n")
+        code, out, err = run_main("ingest-optical", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and flag in err
+
+    def test_one_xi_point_is_xi_min(self, tmp_path):
+        path = tmp_path / "vac.csv"
+        path.write_text("omega_rad_s,eps_imag\n1e14,0.0\n1e15,0.0\n1e16,0.0\n")
+        code, out, _ = run_main("ingest-optical", str(path), "--xi-points", "1")
+        assert code == 0
+        assert parse_csv(out)[2] == [[1e13, 1.0]]
+
     def test_output_file_equals_stdout(self, tmp_path):
         path = self.lorentzian_csv(tmp_path)
         out_path = tmp_path / "eps.csv"
@@ -402,6 +426,7 @@ config.write_text(json.dumps({"atom": "rb87", "surface": surface, "z_a_m": 1e-6}
 assert cli.main(["plane", "--config", str(config), "--rel-tol", "1e-3"]) == 0
 xi = np.geomspace(1e12, 1e17, 10)
 assert atomics.TabulatedPolarizability(xi, 1.0 / (1.0 + xi / 1e15)).alpha(3e14) > 0.0
+assert cli.main(["selftest"]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
@@ -760,6 +785,15 @@ _FLAG_VALUE = st.one_of(_GRID, st.sampled_from(["rb87", "gold", "mirror", "x", "
 _X_POINTS = st.sampled_from(["-1", "0", "2", "x", "1.5"])
 
 
+# ingest-optical: a small absorption spectrum and xi grids that include
+# non-finite, non-positive, swapped and malformed bounds and counts.
+_SPECTRUM = "omega_rad_s,eps_imag\n" + "".join(
+    f"{w!r},{1e30 * w / (w * w + 1e32) ** 1.5!r}\n" for w in np.geomspace(1e13, 1e18, 40).tolist()
+)
+_XI_VALUE = st.sampled_from(["1e13", "1e15", "1e17", "nan", "inf", "-inf", "0", "-1", "x", "1e400"])
+_XI_POINTS = st.sampled_from(["1", "2", "7", "0", "-1", "x", "nan", "1.5"])
+
+
 @pytest.fixture(scope="module")
 def fuzz_config(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "cfg.json"
@@ -785,6 +819,40 @@ class TestContractFuzz:
         code, _, err = run_main(*argv)
         assert code in (0, 2, 3), err
         assert "Traceback" not in err
+
+
+    @given(
+        flags=st.lists(
+            st.tuples(st.sampled_from(["--xi-min", "--xi-max"]), _XI_VALUE)
+            | st.tuples(st.just("--xi-points"), _XI_POINTS),
+            max_size=3,
+        )
+    )
+    @hyp_settings(max_examples=150, deadline=None, derandomize=True)
+    def test_ingest_optical_exit_code_is_0_2_or_3(self, fuzz_config, flags):
+        spectrum = fuzz_config.with_name("spectrum.csv")
+        spectrum.write_text(_SPECTRUM)
+        output = fuzz_config.with_name("eps_xi.csv")
+        output.unlink(missing_ok=True)
+        argv = ["ingest-optical", str(spectrum), "--output", str(output)]
+        code, _, err = run_main(*argv, *(f"{flag}={value}" for flag, value in flags))
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code == 0:
+            _, _, rows = parse_csv(output.read_text())
+            if len(rows) == 1:
+                # One xi is a valid query of the transform, but not a table.
+                with pytest.raises(ValueError, match="need at least two xi samples"):
+                    optics.read_imaginary_axis_csv(output)
+            else:
+                optics.read_imaginary_axis_csv(output)
+
+    def test_removed_kk_rel_tol_flag_exits_2(self, fuzz_config):
+        spectrum = fuzz_config.with_name("spectrum.csv")
+        spectrum.write_text(_SPECTRUM)
+        code, out, err = run_main("ingest-optical", str(spectrum), "--kk-rel-tol", "1e-8")
+        assert (code, out) == (2, "")
+        assert "--kk-rel-tol" in err and "Traceback" not in err
 
 
 # Table files for the fuzz: 1 to 6 rows drawn from few values, so that

@@ -6,7 +6,6 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from cpsurf import cli, optics
-from cpsurf._integrate import adaptive_gauss
 from cpsurf.constants import C_LIGHT, GOLD_OMEGA_P, SILICON_EPS_STATIC, SILICON_OMEGA_DL
 
 
@@ -327,29 +326,60 @@ class TestKramersKronig:
         want = 1.0 + wp**2 / (xi * (xi + gamma))
         assert np.max(np.abs(got / want - 1.0)) < 1e-6
 
-    def test_lock_step_equals_per_xi_segment_loop(self):
-        # One adaptive per xi and data segment, split at omega = xi, plus
-        # the closed-form tail: the scalar form of the transform.
-        data, omega0, _, _ = _lorentzian_table(n=700)
-        xi = np.array([0.0, omega0 / 500.0, omega0 / 3.0, omega0, 7.0 * omega0, 1e3 * omega0])
-        interp = optics._pchip(data.omega, data.eps_imag)
-        t_lo, t_hi = math.log(data.omega[0]), math.log(data.omega[-1])
-        want = []
-        for x in xi:
-            splits = [t_lo, t_hi]
-            if data.omega[0] < x < data.omega[-1]:
-                splits = [t_lo, math.log(x), t_hi]
-            total = 0.0
-            for lo, hi in zip(splits[:-1], splits[1:]):
-                total += adaptive_gauss(
-                    lambda t: np.exp(t) ** 2 * interp(np.exp(t)) / (np.exp(t) ** 2 + x**2),
-                    lo, hi, rel_tol=1e-8,
-                )[0]
-            total += optics._tail_segment(data.omega[-1], float(data.eps_imag[-1]), float(x))
-            want.append(1.0 + (2.0 / math.pi) * total)
+    @pytest.mark.parametrize(
+        "omega",
+        [np.linspace(1e14, 4e15, 6), np.geomspace(1e14, 4e15, 300)],
+        ids=["coarse_linear", "fine_log"],
+    )
+    def test_linear_absorption_matches_antiderivative(self, omega):
+        # PCHIP is exact on a line, and Int omega (a + b omega) / (omega^2 + xi^2)
+        # = a/2 log(omega^2 + xi^2) + b (omega - xi atan(omega / xi)).
+        a, b = 2.0, -4e-16
+        data = optics.RealAxisOpticalData(omega=omega, eps_imag=a + b * omega)
+        lo, hi = omega[0], omega[-1]
+        xi = np.array([0.0, lo / 2.0, math.sqrt(lo * hi), hi])
         got = optics.kramers_kronig_imaginary_axis(data, xi)
-        assert got.tolist() == want
-        assert [optics.kramers_kronig_imaginary_axis(data, x) for x in xi] == want
+        for x, eps in zip(xi.tolist(), got.tolist()):
+            total = 0.5 * a * math.log((hi**2 + x**2) / (lo**2 + x**2)) + b * (
+                hi - lo - x * (math.atan2(hi, x) - math.atan2(lo, x))
+            )
+            total += optics._tail_segment(hi, a + b * hi, x)
+            assert eps - 1.0 == pytest.approx((2.0 / math.pi) * total, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "omega, near",
+        [(np.linspace(2e13, 4e15, 40), True), (np.geomspace(1e15, 2e15, 40), False)],
+        ids=["coarse_linear", "fine_log"],
+    )
+    def test_random_table_matches_gauss_legendre(self, omega, near):
+        # The closed form against a 200-point Gauss-Legendre sum of the
+        # same interpolant on every segment. The coarse grid has segments
+        # on the log1p recurrence, the fine one only on the power series.
+        rng = np.random.default_rng(7)
+        im = rng.uniform(0.0, 3.0, omega.size)
+        im[-1] = min(im[-1], im[-2])
+        data = optics.RealAxisOpticalData(omega=omega, eps_imag=im)
+        xi = np.array([0.0, omega[0], omega[5], omega[20], omega[-1], 10.0 * omega[-1]])
+        h = np.diff(omega)
+        ratio = np.abs(h / (omega[:-1] + 1j * xi[:, None]))
+        assert np.any(ratio >= optics._SERIES_MAX_RATIO) == near
+        got = optics.kramers_kronig_imaginary_axis(data, xi)
+        t, w = np.polynomial.legendre.leggauss(200)
+        nodes = omega[:-1, None] + 0.5 * h[:, None] * (t + 1.0)
+        values = optics._pchip(omega, im)(nodes)
+        for x, eps in zip(xi.tolist(), got.tolist()):
+            segments = 0.5 * h * ((nodes * values / (nodes**2 + x**2)) @ w)
+            total = math.fsum(segments.tolist()) + optics._tail_segment(omega[-1], im[-1], x)
+            assert eps - 1.0 == pytest.approx((2.0 / math.pi) * total, rel=1e-12, abs=0.0)
+
+    def test_each_xi_has_the_same_bits_in_any_call(self):
+        data, omega0, _, _ = _lorentzian_table(n=700)
+        xi = np.concatenate(([0.0], np.geomspace(omega0 / 500.0, 1e3 * omega0, 23)))
+        full = optics.kramers_kronig_imaginary_axis(data, xi)
+        assert [optics.kramers_kronig_imaginary_axis(data, x) for x in xi.tolist()] == full.tolist()
+        for part in (xi[::3], xi[5:9], xi[::-1], xi[[7]]):
+            got = optics.kramers_kronig_imaginary_axis(data, part)
+            assert got.tolist() == [full[xi.tolist().index(x)] for x in part.tolist()]
 
     def test_zero_absorption_gives_unity(self):
         data = optics.RealAxisOpticalData(
