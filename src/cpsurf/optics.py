@@ -489,7 +489,7 @@ def _series_terms(r: float) -> int:
     bounds it."""
     if r == 0.0:
         return 1
-    return max(1, math.ceil(math.log(2.0**-53 * (1.0 - r)) / math.log(r)))
+    return math.ceil(math.log(2.0**-53 * (1.0 - r)) / math.log(r))
 
 
 def _segment_integrals(lo, h, a, moments, x: float) -> np.ndarray:

@@ -820,7 +820,6 @@ class TestContractFuzz:
         assert code in (0, 2, 3), err
         assert "Traceback" not in err
 
-
     @given(
         flags=st.lists(
             st.tuples(st.sampled_from(["--xi-min", "--xi-max"]), _XI_VALUE)
