@@ -16,7 +16,10 @@ Two building blocks:
 * ``cc_batch`` -- nested Clenshaw-Curtis with node doubling, applied to a
   whole batch of integrands at once (the angular integral for every k'
   node of a panel in one numpy call per doubling). The first call takes
-  33 points and checks them against the 17 even ones.
+  33 points. After each call the rule estimates the error of the value
+  it would return from the Chebyshev coefficients its samples already
+  give, guarded by the change since the rule of half the order, and
+  stops as soon as that estimate meets the tolerance.
 
 Both are deterministic: fixed node sets, worst-first splitting with a
 stable tie-break and correctly rounded (``math.fsum``) totals. A row's
@@ -301,6 +304,81 @@ def _cc_rule(n_half: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=16)
+def _cc_tail(n_half: int) -> tuple[np.ndarray, ...]:
+    """Rows taking the n+1 Clenshaw-Curtis samples (n = 2 n_half) to the
+    Chebyshev coefficients n-4, n-2 and n of their interpolant, each
+    times 4 / (n^2 - 1) (the integral weight of T_n, doubled) and pi / 2
+    (the scale to [0, pi]).
+
+    Sample j sits at x_j = cos(j pi / n), so T_k(x_j) = cos(j k pi / n);
+    the interpolant's coefficients are (2/n) sum'' f_j T_k(x_j), with the
+    end samples halved and the coefficient of T_n halved once more.
+    """
+    n = 2 * n_half
+    j = np.arange(n + 1)
+    ends = np.where((j == 0) | (j == n), 0.5, 1.0)
+    scale = (2.0 / n) * ends * (2.0 * np.pi / (n**2 - 1.0))
+    # (j k) mod 2n keeps the cosine's argument in [0, 2 pi).
+    rows = [scale * np.cos(np.pi * ((j * k) % (2 * n)) / n) for k in (n - 4, n - 2, n)]
+    rows[2] *= 0.5
+    return tuple(rows)
+
+
+# Rounding floor of a Clenshaw-Curtis error estimate relative to the
+# integral of |f| (QUADPACK's 50 eps), and the scale with which QUADPACK
+# shrinks the difference of two rules (Piessens et al., 1983).
+_CC_ROUNDING = 50.0 * float(np.finfo(float).eps)
+_CC_GUARD_SCALE = 200.0
+_TINY = float(np.finfo(float).tiny)
+
+
+def _cc_estimate(
+    fx: np.ndarray,
+    w: np.ndarray,
+    vals: np.ndarray,
+    coarse: np.ndarray,
+    n_half: int,
+    target: float,
+) -> tuple[np.ndarray, bool]:
+    """Abs error estimate of each batch element of the Clenshaw-Curtis
+    value ``vals`` = (pi/2) fx @ w on [0, pi], n = 2 n_half, and whether
+    the rule may stop: every element's estimate is at most ``target``, or
+    at most its own rounding floor where that is larger.
+
+    * Tail: the largest |c| of the Chebyshev coefficients n-4, n-2 and n of
+      the samples, times the integral weight 4 / (n^2 - 1) (O'Hara & Smith,
+      Computer J. 11, 1968; Gonnet, ACM TOMS 37, 2010).
+    * Guard: the tail cannot see a function that aliases onto lower
+      coefficients, so the change d = |vals - coarse| since the rule of half
+      the order is added, shrunk QUADPACK-style to
+      d min(1, (200 d / resasc)^1.5) with resasc = int |f - mean f|. It is d
+      while the two rules disagree on the function's own scale, and
+      vanishes like d^2.5 as they converge.
+    * Floor: the estimate is never below 50 eps (resasc + |vals|),
+      QUADPACK's rounding floor 50 eps int |f| taken from an upper bound
+      (int |f| <= resasc + |vals| <= 3 int |f|).
+
+    The guard never exceeds d, so where tail + d meets ``target`` on every
+    element, that bound is returned as the estimate and the guard and
+    floor are not computed.
+    """
+    # Three matrix-vector products: one matrix product with the rows
+    # stacked raised the benchmark's peak RSS by 0.3-0.4 MB.
+    r0, r1, r2 = _cc_tail(n_half)
+    tail = np.maximum(np.maximum(np.abs(fx @ r0), np.abs(fx @ r1)), np.abs(fx @ r2))
+    d = np.abs(vals - coarse)
+    bound = tail + d
+    if (bound <= target).all():
+        return bound, True
+    resasc = (0.5 * np.pi) * (np.abs(fx - (vals / np.pi)[..., None]) @ w)
+    floor = _CC_ROUNDING * (resasc + np.abs(vals))
+    # min(1, 200 d / resasc); tiny keeps it 0 for a constant f (resasc = 0).
+    shrink = np.minimum(_CC_GUARD_SCALE * d, resasc) / (resasc + _TINY)
+    est = np.maximum(tail + d * shrink * np.sqrt(shrink), floor)
+    return est, bool((est <= np.maximum(floor, target)).all())
+
+
 def cc_batch(
     f: Callable[[np.ndarray], np.ndarray],
     rel_tol: float,
@@ -309,38 +387,40 @@ def cc_batch(
     """Integrate a batch of smooth integrands over [0, pi].
 
     ``f(phi)`` must return an array whose last axis matches ``phi``. The
-    first call takes the 33-point Clenshaw-Curtis rule, whose even nodes
-    carry the 17-point rule, so the first check |Q33 - Q17| costs one
-    call. Each further call adds the odd nodes of the next doubling,
-    until the worst batch element moves by less than rel_tol of the
-    largest magnitude; returns (values, max abs change at the last
-    check). A check that fails once the half-order has reached max_half
-    (so the first check, for max_half <= 16) raises a ConvergenceError
-    that names as ``row`` the (flat) batch element with the largest
-    last change.
+    first call takes the 33-point Clenshaw-Curtis rule; each further call
+    adds the odd nodes of the next doubling. After every call each batch
+    element gets an estimate of the error of the value about to be
+    returned (``_cc_estimate``: Chebyshev tail, a guard from the change
+    since the rule of half the order, and a rounding floor), so a rule
+    that has converged stops at once, the first 33-point call included.
+    The rule stops when every element's estimate is at most rel_tol of the
+    batch's largest magnitude, or its own rounding floor if that is
+    larger; returns (values, largest estimate). A check that fails once
+    the half-order has reached max_half (so the first check, for
+    max_half <= 16) raises a ConvergenceError that names as ``row`` the
+    (flat) batch element with the largest estimate.
     """
     n_half = 16
     x, w = _cc_rule(n_half)
     fx = f(0.5 * np.pi * (x + 1.0))
     # The 17-point nodes are the even 33-point ones, bit for bit.
-    vals = 0.5 * np.pi * (np.ascontiguousarray(fx[..., ::2]) @ _cc_rule(8)[1])
+    coarse = 0.5 * np.pi * (np.ascontiguousarray(fx[..., ::2]) @ _cc_rule(8)[1])
     while True:
-        new_vals = 0.5 * np.pi * (fx @ w)
-        change = np.abs(new_vals - vals)
-        delta = float(np.max(change))
-        vals = new_vals
-        scale = float(np.max(np.abs(vals)))
-        if delta <= rel_tol * scale or scale == 0.0:
+        vals = 0.5 * np.pi * (fx @ w)
+        target = rel_tol * float(np.abs(vals).max())
+        est, done = _cc_estimate(fx, w, vals, coarse, n_half, target)
+        delta = float(est.max())
+        if done or target == 0.0:
             return vals, delta
         if n_half >= max_half:
             raise ConvergenceError(
                 f"angular quadrature did not converge: {2 * n_half + 1} "
-                f"points, last change {delta:.3e} vs target "
-                f"{rel_tol * scale:.3e}",
+                f"points, error estimate {delta:.3e} vs target {target:.3e}",
                 float(vals.flat[0]) if vals.size else 0.0,
                 delta,
-                row=int(np.argmax(change)),
+                row=int(np.argmax(est)),
             )
+        coarse = vals
         n_half *= 2
         x, w = _cc_rule(n_half)
         fx_new = np.empty(fx.shape[:-1] + (2 * n_half + 1,), dtype=fx.dtype)

@@ -542,8 +542,15 @@ def cmd_ingest_optical(args) -> int:
         raise ValueError(f"--xi-max must be finite and above --xi-min, got {args.xi_max!r}")
     if args.xi_points < 1:
         raise ValueError(f"--xi-points must be at least 1, got {args.xi_points}")
-    data = read_optical_csv(args.input)
     xi_grid = np.geomspace(args.xi_min, args.xi_max, args.xi_points)
+    # The table is read back from its printed digits, which must ascend.
+    printed = [float(f"{x:.12e}") for x in xi_grid.tolist()]
+    if any(b <= a for a, b in zip(printed, printed[1:])):
+        raise ValueError(
+            f"--xi-min and --xi-max are too close for --xi-points {args.xi_points}: "
+            "the printed xi grid (13 digits) would repeat values"
+        )
+    data = read_optical_csv(args.input)
     eps = kramers_kronig_imaginary_axis(data, xi_grid)
     lines = [f"source={Path(args.input).name}"]
     if data.drude_omega_p is not None:

@@ -448,10 +448,12 @@ def _drude_segment(omega1: float, omega_p: float, gamma: float, xi: float) -> fl
             "eps(i0) diverges for a Drude metal; evaluate at xi > 0"
         )
     if abs(xi - gamma) > 1e-9 * gamma:
+        # (xi - gamma)(xi + gamma) overflows to inf, not OverflowError, where
+        # xi^2 would: the segment then vanishes, as it does in the limit.
         return (
             omega_p**2
             * gamma
-            / (xi**2 - gamma**2)
+            / ((xi - gamma) * (xi + gamma))
             * (math.atan(omega1 / gamma) / gamma - math.atan(omega1 / xi) / xi)
         )
     # xi ~ gamma: use the confluent antiderivative of 1/(omega^2+gamma^2)^2.
@@ -467,12 +469,9 @@ def _tail_segment(omega_n: float, eps_imag_n: float, xi: float) -> float:
         # Series in (xi/omega_n)^2 avoids cancellation.
         r2 = (xi / omega_n) ** 2
         return eps_imag_n * (1.0 / 3.0 - r2 / 5.0 + r2**2 / 7.0)
-    return (
-        eps_imag_n
-        * omega_n**3
-        / xi**2
-        * (1.0 / omega_n - (math.pi / 2.0 - math.atan(omega_n / xi)) / xi)
-    )
+    # In r = omega_n / xi, which stays finite where xi^2 would overflow.
+    r = omega_n / xi
+    return eps_imag_n * r * r * (1.0 - r * (math.pi / 2.0 - math.atan(r)))
 
 
 # A segment whose |h / (omega_i + i xi)| is below this bound is summed as a

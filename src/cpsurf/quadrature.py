@@ -20,15 +20,17 @@ vanishes at phi = 0, a near-singularity at a distance of about
 delta = |k' - k| / sqrt(k' k) from the real phi axis, so each k' node
 integrates over t in [0, pi] with the sinh map phi = delta sinh(mu t / pi),
 mu = asinh(pi / delta), which spreads the nodes near phi = 0 on the
-scale delta and tends to the identity for large delta. The first
-angular check (33 against 17 points) is one kernel_point call; at k = 0
-the angle between k' and k'' vanishes, the phi integrand is constant,
-and the angular integral is pi times one kernel node per k', with no
-Clenshaw-Curtis rule. The k' leg of the kernel (its Fresnel set and the
-TM denominator) depends on k' only, so kernel_point builds it on the k'
-column and broadcasts it against the k'' x angle grid; each further
-Clenshaw-Curtis doubling is a new kernel_point call, so the leg is still
-rebuilt at every doubling after the first check.
+scale delta and tends to the identity for large delta. The angular rule
+stops on an estimate of the error of the value it returns (Chebyshev
+tail, a guard against aliasing and a rounding floor; see cc_batch), so
+most batches end with their first kernel_point call, of 33 points; at
+k = 0 the angle between k' and k'' vanishes, the phi integrand is
+constant, and the angular integral is pi times one kernel node per k',
+with no Clenshaw-Curtis rule. The k' leg of the kernel (its Fresnel set
+and the TM denominator) depends on k' only, so kernel_point builds it on
+the k' column and broadcasts it against the k'' x angle grid; each
+further Clenshaw-Curtis doubling is a new kernel_point call, so the leg
+is rebuilt at every doubling after the first 33 points.
 Inner tolerances are set below the requested one so the reported error,
 outer estimate plus a tolerance-sized pad, is trustworthy. A
 ConvergenceError names the layer that failed ("xi", "kprime" or "phi"),
@@ -103,7 +105,8 @@ class QuadratureSettings:
             raise ValueError("panel budget must fit the initial split of 4 panels")
         if self.angular_max_half < 8:
             raise ValueError(
-                "angular budget must fit the half-order 8 of the first check (33 vs 17 points)"
+                "angular budget must be at least half-order 8: the first check takes "
+                "33 points and guards them with their 17 even ones"
             )
         if not self.kz_cutoff > 0.0:
             raise ValueError("kz_cutoff must be positive")

@@ -325,6 +325,21 @@ class TestIngestOptical:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and flag in err
 
+    def test_grid_that_prints_repeated_xi_exits_2_before_reading(self, tmp_path):
+        # Three xi within 1e-14 of each other print as one 13-digit value,
+        # a table the reader would reject. The grid is checked before the
+        # input is read, so a missing input file is not what gets named.
+        argv = [
+            "ingest-optical", str(tmp_path / "missing.csv"),
+            "--xi-min", "1e13", "--xi-max", "1.00000000000001e13", "--xi-points", "3",
+            "--output", str(tmp_path / "dup.csv"),
+        ]
+        code, out, err = run_main(*argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert all(flag in err for flag in ("--xi-min", "--xi-max", "--xi-points"))
+        assert not (tmp_path / "dup.csv").exists()
+
     def test_one_xi_point_is_xi_min(self, tmp_path):
         path = tmp_path / "vac.csv"
         path.write_text("omega_rad_s,eps_imag\n1e14,0.0\n1e15,0.0\n1e16,0.0\n")

@@ -38,6 +38,27 @@ def reference_estimate(f, a, b, n_high=17):
     return i_k, abs(i_k - i_g)
 
 
+def reference_cc_estimate(fx, coarse):
+    """cc_batch's error estimate of the Clenshaw-Curtis value of the
+    samples fx (last axis: the 2n+1 nodes, descending in x), coded apart
+    from the engine: the Chebyshev coefficients come from an FFT of the
+    even extension (DCT-I). coarse is the value of the rule of half the
+    order. Returns (value, estimate), one per batch element."""
+    fx = np.asarray(fx, dtype=float)
+    n = fx.shape[-1] - 1
+    ext = np.concatenate([fx, fx[..., -2:0:-1]], axis=-1)
+    c = np.fft.rfft(ext, axis=-1).real[..., : n + 1] / n
+    c[..., n] *= 0.5  # the interpolant's coefficient of T_n
+    w = _integrate._cc_rule(n // 2)[1]
+    value = 0.5 * np.pi * (fx @ w)
+    tail = 0.5 * np.pi * 4.0 / (n**2 - 1) * np.max(np.abs(c[..., [n - 4, n - 2, n]]), axis=-1)
+    resasc = 0.5 * np.pi * (np.abs(fx - value[..., None] / np.pi) @ w)
+    d = np.abs(value - coarse)
+    guard = d * np.minimum(1.0, 200.0 * d / resasc) ** 1.5
+    floor = 50.0 * np.finfo(float).eps * (resasc + np.abs(value))
+    return value, np.maximum(tail + guard, floor)
+
+
 def _shifted_moment(degree, shift=0.3):
     # int_{-1}^{1} (x + shift)^d dx; the shift keeps odd degrees from being
     # exact by symmetry alone.
@@ -261,17 +282,34 @@ class TestCcBatch:
         assert vals.shape == (4,)
         assert vals == pytest.approx(np.full(4, 0.5 * math.pi), rel=1e-12)
 
-    def test_failure_names_row_with_largest_change(self):
-        # sin(n phi)^2 needs more nodes as n grows; row 2 moves most.
+    def test_failure_names_row_with_largest_estimate(self):
+        # sin(n phi)^2 needs more nodes as n grows; row 2 has the largest
+        # error estimate. Row 4 converges fast, so its tail is small, but
+        # its scale gives it the largest change |Q33 - Q17|: the row named
+        # must follow the estimate, not the change.
         n = np.array([1, 30, 60, 2])[:, None]
+
+        def f(phi):
+            return np.vstack([n * np.sin(n * phi) ** 2, 1e5 * np.exp(8.0 * np.cos(phi))])
+
         with pytest.raises(ConvergenceError) as info:
-            cc_batch(lambda phi: n * np.sin(n * phi) ** 2, 1e-12, max_half=16)
+            cc_batch(f, 1e-12, max_half=16)
         assert info.value.row == 2
 
+        x33 = _integrate._cc_rule(16)[0]
+        f33 = f(0.5 * np.pi * (x33 + 1.0))
+        q17 = 0.5 * np.pi * (f33[:, ::2] @ _integrate._cc_rule(8)[1])
+        q33, estimate = reference_cc_estimate(f33, q17)
+        assert int(np.argmax(estimate)) == 2
+        assert int(np.argmax(np.abs(q33 - q17))) == 4
+        assert info.value.achieved_abs_err == pytest.approx(estimate[2], rel=1e-12)
+
     def test_first_check_is_one_call_of_33_points(self):
-        # exp(a cos phi) converges at the first check; the single 33-point
-        # call must give the bits of 17 points and then the 16 odd ones.
-        a = np.array([[0.25], [0.5], [1.0]])
+        # exp(a cos phi) meets 1e-10 at 33 points, although for a = 5 the
+        # 17-point value is still 1e-8 off: the rule stops on the estimate
+        # of the 33-point value. The single call must give the bits of 17
+        # points and then the 16 odd ones.
+        a = np.array([[0.25], [1.0], [5.0]])
 
         def f(phi):
             return np.exp(a * np.cos(phi))
@@ -289,7 +327,28 @@ class TestCcBatch:
         q17 = 0.5 * np.pi * (f17 @ w17)
         q33 = 0.5 * np.pi * (f33 @ w33)
         assert np.array_equal(vals, q33)
-        assert delta == float(np.max(np.abs(q33 - q17)))
+        assert np.max(np.abs(q33 - q17)) > 1e-10 * np.max(q33)
+        _, estimate = reference_cc_estimate(f33, q17)
+        assert delta == pytest.approx(float(np.max(estimate)), rel=1e-5)
+        assert delta < 1e-3 * float(np.max(np.abs(q33 - q17)))
+
+    def test_aliased_polynomial_is_not_accepted_at_33_points(self):
+        # T_40(2 phi / pi - 1) takes the values of T_24 on the 33 nodes, so
+        # their Chebyshev tail (coefficients 28, 30, 32) is zero and the
+        # 33-point value is 3.5e-3 off; only the change from 17 points
+        # (where it aliases onto T_8) shows it. Exact: pi / (1 - 40^2).
+        def t40(phi):
+            return np.cos(40.0 * np.arccos(np.clip(2.0 * phi / np.pi - 1.0, -1.0, 1.0)))
+
+        rec = Recorder(t40)
+        vals, _ = cc_batch(rec, 1e-12)
+        assert len(rec.sizes) > 1
+        assert abs(float(vals) - math.pi / (1.0 - 40.0**2)) <= 1e-12
+
+        x33 = _integrate._cc_rule(16)[0]
+        f33 = t40(0.5 * np.pi * (x33 + 1.0))
+        q33 = 0.5 * np.pi * (f33 @ _integrate._cc_rule(16)[1])
+        assert abs(q33 - math.pi / (1.0 - 40.0**2)) > 3e-3
 
     def test_each_doubling_adds_the_odd_nodes(self):
         rec = Recorder(lambda phi: np.sin(20.0 * phi) ** 2)

@@ -326,6 +326,24 @@ class TestKramersKronig:
         want = 1.0 + wp**2 / (xi * (xi + gamma))
         assert np.max(np.abs(got / want - 1.0)) < 1e-6
 
+    @pytest.mark.parametrize("drude", [False, True], ids=["insulator", "drude"])
+    def test_huge_xi_stays_finite(self, drude):
+        # xi^2 overflows above about 1.3e154, while eps(i xi) -> 1 there:
+        # the tail and the Drude segment must give a finite eps - 1 >= 0.
+        w = np.geomspace(1e12, 1e18, 200)
+        wp, gamma = 1.37e16, 4.1e13
+        data = optics.RealAxisOpticalData(
+            omega=w,
+            eps_imag=wp**2 * gamma / (w * (w**2 + gamma**2)),
+            drude_omega_p=wp if drude else None,
+            drude_gamma=gamma if drude else None,
+        )
+        xi = np.array([1e18, 1e100, 1.3e154, 1e155, 1e200, 1e300])
+        got = optics.kramers_kronig_imaginary_axis(data, xi) - 1.0
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        assert np.all(np.diff(got) <= 0.0)
+        assert got[-1] == 0.0
+
     @pytest.mark.parametrize(
         "omega",
         [np.linspace(1e14, 4e15, 6), np.geomspace(1e14, 4e15, 300)],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cpsurf import closedforms as cf, quadrature as quad
+from cpsurf import _integrate, closedforms as cf, quadrature as quad
 from cpsurf._integrate import _gauss_kronrod, adaptive_gauss, cc_batch
 from cpsurf.atomics import StaticPolarizability, polarizability
 from cpsurf.constants import C_LIGHT
@@ -342,6 +342,79 @@ class TestResponse:
             quad.response_g(static_rb, mirror, 1e-6, -1.0, settings)
         with pytest.raises(ValueError):
             quad.response_g(static_rb, mirror, 0.0, 1e6, settings)
+
+
+class TestAngularEstimate:
+    """cc_batch's error estimate on the angular batches of response_g,
+    against a 513-point Clenshaw-Curtis reference."""
+
+    # Batches checked per response_g call: this many spread over the call,
+    # and this many of those that took the most points.
+    PER_CALL = 4
+    # The kernels' own evaluation noise, which no rule removes: up to about
+    # 3,900 eps int |f| (mirror; 222 eps for silicon and gold), and near
+    # underflow an absolute 1e-306. An error below this floor is not the
+    # rule's.
+    NOISE_REL = 1e4 * np.finfo(float).eps
+    NOISE_ABS = 1e-300
+
+    @staticmethod
+    def captured_batches(monkeypatch, atom, surface, z, kz, rel_tol, per_call):
+        """Integrands of per_call angular batches spread over one response_g
+        call, and of the per_call batches that took the most points."""
+        batches = []
+
+        def spy(f, *args, **kwargs):
+            points = [0]
+
+            def counted(phi):
+                points[0] += len(phi)
+                return f(phi)
+
+            try:
+                return cc_batch(counted, *args, **kwargs)
+            finally:
+                batches.append((points[0], len(batches), f))
+
+        with monkeypatch.context() as m:
+            m.setattr(quad, "cc_batch", spy)
+            quad.response_g(atom, surface, z, kz / z, QuadratureSettings(rel_tol=rel_tol))
+        spread = batches[:: max(1, len(batches) // per_call)]
+        hardest = sorted(batches, reverse=True)[:per_call]
+        return [f for _, _, f in sorted(set(spread) | set(hardest), key=lambda b: b[1])]
+
+    @pytest.mark.parametrize("surface_name", ["silicon", "gold", "mirror"])
+    @pytest.mark.parametrize("kz", [1.0, 3.0, 6.0])
+    def test_estimate_is_at_least_the_error(self, monkeypatch, request, osc_rb, surface_name, kz):
+        # At every order from 33 to 257 points, each element's estimate
+        # must be at least its distance from the 513-point value wherever
+        # that distance is above the noise floor: the 513 samples hold
+        # every lower order's nodes, bit for bit.
+        surface = request.getfixturevalue(surface_name)
+        x513, w513 = _integrate._cc_rule(256)
+        checked = 0
+        for z in (0.1e-6, 1.05e-6, 5e-6):
+            for rel_tol in (1e-3, 1e-6, 1e-9):
+                for f in self.captured_batches(
+                    monkeypatch, osc_rb, surface, z, kz, rel_tol, self.PER_CALL
+                ):
+                    f513 = f(0.5 * np.pi * (x513 + 1.0))
+                    ref = 0.5 * np.pi * (f513 @ w513)
+                    noise = self.NOISE_REL * 0.5 * np.pi * (np.abs(f513) @ w513) + self.NOISE_ABS
+                    coarse = None
+                    for n_half in (8, 16, 32, 64, 128):
+                        fx = np.ascontiguousarray(f513[..., :: 256 // n_half])
+                        w = _integrate._cc_rule(n_half)[1]
+                        vals = 0.5 * np.pi * (fx @ w)
+                        if coarse is not None:
+                            # No target: always the full estimate.
+                            est, _ = _integrate._cc_estimate(fx, w, vals, coarse, n_half, -np.inf)
+                            err = np.abs(vals - ref)
+                            above = err > noise
+                            assert np.all(est[above] >= err[above]), (z, rel_tol, n_half)
+                            checked += int(np.sum(above))
+                        coarse = vals
+        assert checked > 0
 
 
 class TestDerivedQuantities:
