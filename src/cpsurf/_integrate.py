@@ -162,7 +162,8 @@ def _panel_estimates(
     fx = np.reshape(f(x.ravel()), x.shape)[:, None, :]
     i_k = halves * np.matmul(fx, w_k)[:, 0, 0]
     i_g = halves * np.matmul(np.ascontiguousarray(fx[..., 1::2]), w_g)[:, 0, 0]
-    err = np.abs(i_k - i_g)
+    with np.errstate(invalid="ignore"):
+        err = np.abs(i_k - i_g)
     if not np.all(np.isfinite(err)):
         # nan or inf in either sum: bisecting cannot recover, so stop now.
         raise FloatingPointError("integrand is not finite on a quadrature panel")
@@ -398,7 +399,8 @@ def cc_batch(
     larger; returns (values, largest estimate). A check that fails once
     the half-order has reached max_half (so the first check, for
     max_half <= 16) raises a ConvergenceError that names as ``row`` the
-    (flat) batch element with the largest estimate.
+    (flat) batch element with the largest estimate. Values that are not
+    finite raise FloatingPointError at once: doubling cannot recover them.
     """
     n_half = 16
     x, w = _cc_rule(n_half)
@@ -407,6 +409,8 @@ def cc_batch(
     coarse = 0.5 * np.pi * (np.ascontiguousarray(fx[..., ::2]) @ _cc_rule(8)[1])
     while True:
         vals = 0.5 * np.pi * (fx @ w)
+        if not np.isfinite(vals).all():
+            raise FloatingPointError("integrand is not finite on the angular rule")
         target = rel_tol * float(np.abs(vals).max())
         est, done = _cc_estimate(fx, w, vals, coarse, n_half, target)
         delta = float(est.max())

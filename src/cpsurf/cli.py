@@ -27,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -139,9 +140,16 @@ def _positive_grid(spec, name: str) -> list[float]:
     return values
 
 
-def _field(kind: str, spec: dict, key: str, convert=float):
-    """spec[key] through convert; a value of the wrong type or form is a
-    ValueError that names the field (a missing key stays a KeyError)."""
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("not finite")
+    return number
+
+
+def _field(kind: str, spec: dict, key: str, convert=_finite):
+    """spec[key] through convert (a finite float by default); a wrong type
+    or form is a ValueError naming the field (a missing key stays a KeyError)."""
     value = spec[key]
     try:
         return convert(value)
@@ -237,12 +245,7 @@ def build_surface(spec):
     raise ValueError(f"unknown surface model {model!r}")
 
 
-_SETTING_TYPES = {
-    "rel_tol": float,
-    "max_panels": _whole,
-    "angular_max_half": _whole,
-    "kz_cutoff": float,
-}
+_SETTING_TYPES = {"rel_tol": float, "max_panels": _whole}
 
 
 def build_settings(args, cfg: dict) -> QuadratureSettings:
@@ -503,7 +506,11 @@ def cmd_corrugation(args) -> int:
         h = profile.height(r)
         return [x, u1.value, u1.error, fl.value, fl.error, h * f0.value, abs(h) * f0.error]
 
-    rows = [one(x) for x in x_grid]
+    # Each distinct library warning (a profile too steep) prints once.
+    with warnings.catch_warnings(record=True) as caught:
+        rows = [one(x) for x in x_grid]
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     _warn_negligible([g_val])
     report = detectability_report(
         profile, z, config=_build_probe(sweep.cfg), g_of_k=g_of_k

@@ -62,10 +62,12 @@ class Sinusoid:
     direction: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
-        if self.h0 < 0.0:
-            raise ValueError("h0 must be non-negative")
-        if self.k_c < 0.0:
-            raise ValueError("k_c must be non-negative")
+        if not 0.0 <= self.h0 < math.inf:
+            raise ValueError("h0 must be finite and non-negative")
+        if not 0.0 <= self.k_c < math.inf:
+            raise ValueError("k_c must be finite and non-negative")
+        if not math.isfinite(self.phase):
+            raise ValueError("phase must be finite")
         d = np.asarray(self.direction, dtype=float)
         if d.shape != (2,) or not np.all(np.isfinite(d)):
             raise ValueError("direction must be a finite 2-vector")

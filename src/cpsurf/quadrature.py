@@ -23,10 +23,10 @@ mu = asinh(pi / delta), which spreads the nodes near phi = 0 on the
 scale delta and tends to the identity for large delta. The angular rule
 stops on an estimate of the error of the value it returns (Chebyshev
 tail, a guard against aliasing and a rounding floor; see cc_batch), so
-most batches end with their first kernel_point call, of 33 points; at
-k = 0 the angle between k' and k'' vanishes, the phi integrand is
-constant, and the angular integral is pi times one kernel node per k',
-with no Clenshaw-Curtis rule. The k' leg of the kernel (its Fresnel set
+most batches end with their first kernel_point call, of 33 points. At
+k = 0 the response is the flat-surface force, so response_g returns
+plane_force; beyond k z_A = 40 it returns a negligible zero. The k' leg
+of the kernel (its Fresnel set
 and the TM denominator) depends on k' only, so kernel_point builds it on
 the k' column and broadcasts it against the k'' x angle grid; each
 further Clenshaw-Curtis doubling is a new kernel_point call, so the leg
@@ -82,34 +82,27 @@ _REPORT_PAD = 0.3
 # Floor of the angular map's scale delta = |k' - k| / sqrt(k' k): below
 # it, k' - k is rounding (k' = k exactly gives delta = 0).
 _DELTA_MIN = float(np.finfo(float).eps)
+# Beyond k z_A = 40, g(k, z_A) cannot be resolved against g(0, z_A) in
+# double precision, so response_g returns it as a negligible zero.
+_KZ_CUTOFF = 40.0
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Accuracy and budget knobs shared by all production integrals.
 
-    rel_tol is the target relative error of the full integral. kz_cutoff
-    short-circuits response_g once k z_A is so large that the result
-    cannot be resolved against g(0, z_A) in double precision.
+    rel_tol is the target relative error of the full integral; max_panels
+    is the panel budget of each xi and k' adaptive integral.
     """
 
     rel_tol: float = 1e-6
     max_panels: int = 4096
-    angular_max_half: int = 512
-    kz_cutoff: float = 40.0
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
         if self.max_panels < 4:
             raise ValueError("panel budget must fit the initial split of 4 panels")
-        if self.angular_max_half < 8:
-            raise ValueError(
-                "angular budget must be at least half-order 8: the first check takes "
-                "33 points and guards them with their 17 even ones"
-            )
-        if not self.kz_cutoff > 0.0:
-            raise ValueError("kz_cutoff must be positive")
 
 
 @dataclass(frozen=True)
@@ -234,16 +227,18 @@ def response_g(
 ) -> IntegralResult:
     """First-order response g(k, z_A) to a profile component at |k|, in N.
 
-    g is negative, equals the plane force at k = 0, and decays at least
-    as fast as e^{-0.8 k z_A} once k z_A is large. Beyond
-    settings.kz_cutoff the value is returned as exactly zero, flagged
-    negligible, with a closed-form magnitude bound as the error.
+    g is negative and decays at least as fast as e^{-0.8 k z_A} once
+    k z_A is large. At k = 0 it is the plane force, and plane_force's
+    result is returned. Beyond k z_A = 40 the value is returned as
+    exactly zero, flagged negligible, with a closed-form magnitude bound
+    as the error.
     """
     settings = settings or QuadratureSettings()
-    if k_corr < 0.0:
-        raise ValueError("k_corr must be non-negative")
-
-    if k_corr * z_atom > settings.kz_cutoff:
+    if not 0.0 <= k_corr < math.inf:
+        raise ValueError("k_corr must be finite and non-negative")
+    if k_corr == 0.0:
+        return plane_force(atom, surface, z_atom, settings)
+    if k_corr * z_atom > _KZ_CUTOFF:
         bound = abs(f_cp0(z_atom, polarizability(atom, 0.0))) * rho_cp_perf(
             k_corr * z_atom
         )
@@ -256,14 +251,6 @@ def response_g(
         # The k' leg goes in as the (n, 1) column, so its optics run once
         # per k' node and broadcast over k'' and phi.
         kp_col = kp[:, None]
-        if k_corr == 0.0:
-            # k'' = k' and the angle between them vanishes for every phi,
-            # so the phi integrand is constant: pi times one node.
-            point = kernel_point(
-                surface, xi, kp_col, kp_col, np.ones_like(kp_col), np.zeros_like(kp_col)
-            )
-            return np.pi * kernel(point, z_atom)[:, 0]
-
         # Sinh map phi = delta sinh(mu t / pi) on t in [0, pi], with
         # mu = asinh(pi / delta) so that t = pi is phi = pi. k'' vanishes
         # near phi = +-i delta, and the map spreads the nodes near phi = 0
@@ -296,11 +283,7 @@ def response_g(
             return kernel(point, z_atom) * ((mu * delta / np.pi) * np.cosh(s))
 
         with _layer("phi", xi, kp):
-            vals, _ = cc_batch(
-                f_phi,
-                angular_tol,
-                max_half=settings.angular_max_half,
-            )
+            vals, _ = cc_batch(f_phi, angular_tol)
         return vals
 
     def f_row(xi: np.ndarray, kp: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -320,7 +303,7 @@ def rho(
 ) -> IntegralResult:
     """Roll-off rho(k, z_A) = g(k, z_A) / g(0, z_A); 1 at k = 0."""
     g_k = response_g(atom, surface, z_atom, k_corr, settings)
-    return ratio(g_k, response_g(atom, surface, z_atom, 0.0, settings))
+    return ratio(g_k, plane_force(atom, surface, z_atom, settings))
 
 
 def ratio(num: IntegralResult, den: IntegralResult) -> IntegralResult:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from cpsurf import cli, optics
+from cpsurf import cli, optics, quadrature
+from cpsurf._integrate import cc_batch
 from cpsurf.closedforms import rho_cp_perf
 
 
@@ -235,6 +237,21 @@ class TestCorrugation:
         rep = json.loads(res.stdout)
         assert rep["classification"] == "marginal"
         assert "report=" not in out.read_text()
+
+    def test_steep_profile_prints_one_warning_line(self):
+        argv = (
+            "corrugation", *STATIC_MIRROR, "--z", "1e-6", "--h0", "4e-7",
+            "--lambda-c", "1e-5", "--x-points", "2",
+        )
+        advisory = (
+            "warning: profile outside the first-order validity range "
+            "(h k_c = 0.251, h / z_A = 0.4; both should stay below 0.3)\n"
+        )
+        res = run_cli(*argv)
+        assert (res.returncode, res.stderr) == (0, advisory)
+        # In process, too, the advisory is one line, and the CSV is the same.
+        code, out, err = run_main(*argv)
+        assert (code, out, err) == (0, res.stdout, advisory)
 
     def test_config_file_equals_flags(self, tmp_path):
         cfg = {
@@ -503,18 +520,54 @@ class TestExitCodes:
         assert "converge" in res.stderr
         assert "kprime layer at xi=" in res.stderr
 
-    def test_starved_angular_budget_names_xi_and_kprime(self, tmp_path):
+    def test_starved_angular_budget_names_xi_and_kprime(self, monkeypatch):
+        # An angular rule held to its first 33-point check.
+        monkeypatch.setattr(quadrature, "cc_batch", functools.partial(cc_batch, max_half=8))
+        code, out, err = run_main(
+            "response", "--atom", "rb87", "--surface", "silicon",
+            "--z", "1e-6", "--kz", "3", "--rel-tol", "1e-13",
+        )
+        assert (code, out) == (3, "")
+        assert "phi layer at xi=" in err
+        assert "k'=" in err
+
+    @pytest.mark.parametrize("key", ["angular_max_half", "kz_cutoff"])
+    def test_removed_quadrature_key_exits_2(self, tmp_path, key):
         path = tmp_path / "cfg.json"
-        path.write_text(
-            json.dumps({"quadrature": {"rel_tol": 1e-13, "angular_max_half": 8}})
+        path.write_text(json.dumps({"quadrature": {key: 16}}))
+        code, out, err = run_main(
+            "response", "--config", str(path), *STATIC_MIRROR, "--z", "1e-6", "--kz", "3"
         )
-        res = run_cli(
-            "response", "--config", str(path), "--atom", "rb87",
-            "--surface", "silicon", "--z", "1e-6", "--kz", "3",
+        assert (code, out) == (2, "")
+        assert "unknown quadrature settings" in err and key in err
+
+    @pytest.mark.parametrize(
+        "flags, corrugation, field",
+        [
+            (["--lambda-c", "1e-5", "--phase", "nan"], {"lambda_m": 1e-5, "phase_rad": math.nan}, "phase_rad"),
+            (["--lambda-c", "1e-5", "--phase", "inf"], {"lambda_m": 1e-5, "phase_rad": math.inf}, "phase_rad"),
+            (["--k-c", "nan"], {"k_c_1_per_m": math.nan}, "k_c_1_per_m"),
+            (["--lambda-c", "inf"], {"lambda_m": math.inf}, "lambda_m"),
+            (["--lambda-c", "1e-5", "--h0", "nan"], {"lambda_m": 1e-5, "h0_m": math.nan}, "h0_m"),
+        ],
+    )
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_non_finite_corrugation_exits_2_naming_the_field(
+        self, monkeypatch, tmp_path, flags, corrugation, field, by
+    ):
+        def no_quadrature(*args):
+            pytest.fail("quadrature ran on a non-finite corrugation input")
+
+        monkeypatch.setattr(quadrature, "_xi_kprime", no_quadrature)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"corrugation": corrugation} if by == "config" else {}))
+        code, out, err = run_main(
+            "corrugation", "--config", str(path), *STATIC_MIRROR, "--z", "2e-6",
+            "--x-points", "2", *(flags if by == "flag" else []),
         )
-        assert_clean_exit(res, 3)
-        assert "phi layer at xi=" in res.stderr
-        assert "k'=" in res.stderr
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: corrugation field {field!r} cannot take ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "key, spec, field",
@@ -544,6 +597,7 @@ class TestExitCodes:
             ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "direction": 1}}, "direction"),
             ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "x_points": [3]}}, "x_points"),
             ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "x_m": [[0]]}}, "grid"),
+            ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5}, "probe": {"delta_n": math.inf}}, "delta_n"),
             ("plane", {"output_csv": 5}, "output_csv"),
         ],
     )
@@ -712,10 +766,11 @@ _SURFACE = st.one_of(
 _QUADRATURE = st.one_of(
     _JUNK,
     st.fixed_dictionaries(
-        {"max_panels": st.sampled_from([4, 5, 6]), "angular_max_half": st.sampled_from([8, 16])},
+        {"max_panels": st.sampled_from([4, 5, 6])},
         optional={
             "initial_panels": st.sampled_from([0, 1, 2, 4.5, 7, "x"]),
             "angular_min_half": st.sampled_from([1, 4, 8, 32]),
+            "angular_max_half": st.sampled_from([8, 16]),
             "kz_cutoff": _VALUE,
             "bogus": _VALUE,
         },
@@ -755,9 +810,7 @@ _BASE = {
         ["gold", "silicon", "perfect", {"model": "drude_lorentz", "omega_dl_rad_s": 6.6e15, "eps_static": 3.0}]
     ),
     "z_a_m": st.sampled_from([1e-6, "2e-6", [3e-7]]),
-    "quadrature": st.fixed_dictionaries(
-        {"max_panels": st.sampled_from([4, 16, 64]), "angular_max_half": st.sampled_from([8, 16])}
-    ),
+    "quadrature": st.fixed_dictionaries({"max_panels": st.sampled_from([4, 16, 64])}),
     "kz_a": st.sampled_from([0, "0.5", [2.0]]),
     "corrugation": st.fixed_dictionaries(
         {"lambda_m": st.sampled_from([1e-5, 3e-6]), "x_points": st.sampled_from([1, 2])}
@@ -831,9 +884,13 @@ class TestContractFuzz:
         for flag in flags:
             value = data.draw(_X_POINTS if flag == "--x-points" else _FLAG_VALUE)
             argv.append(f"{flag}={value}")
-        code, _, err = run_main(*argv)
+        code, out, err = run_main(*argv)
         assert code in (0, 2, 3), err
         assert "Traceback" not in err
+        if code == 0:
+            # A run that succeeds wrote finite numbers only.
+            _, _, rows = parse_csv(out)
+            assert rows and all(math.isfinite(v) for row in rows for v in row), out
 
     @given(
         flags=st.lists(

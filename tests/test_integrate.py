@@ -176,9 +176,11 @@ class TestAdaptiveGauss:
         assert len(f.sizes) == 1 + (10 - 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_integrand_stops_at_once(self, bad):
         # Bisection cannot recover a nan or inf panel; without the check a
-        # row would spend its whole panel budget before giving up.
+        # row would spend its whole panel budget before giving up. The
+        # check itself raises no numpy warning.
         def f(x):
             y = np.sqrt(x)
             y[np.argmin(np.abs(x - 0.6))] = bad
@@ -356,6 +358,21 @@ class TestCcBatch:
         assert rec.sizes[0] == 33
         assert rec.sizes[1:] == [32 * 2**i for i in range(len(rec.sizes) - 1)]
         assert float(vals) == pytest.approx(0.5 * math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_integrand_stops_at_once(self, bad):
+        # Doubling cannot recover a nan or inf sample; without the check
+        # the batch would run to 1025 points before giving up.
+        def f(phi):
+            bent = np.cos(phi) ** 2
+            bent[5] = bad
+            return np.vstack([np.cos(phi) ** 2, bent])
+
+        rec = Recorder(f)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            cc_batch(rec, 1e-12)
+        assert rec.sizes == [33]
 
     def test_smallest_budget_stops_after_first_check(self):
         rec = Recorder(lambda phi: np.sin(30.0 * phi) ** 2)

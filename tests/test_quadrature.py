@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -34,8 +36,9 @@ def plane_per_xi_reference(atom, surface, z, settings, force):
 
 def response_per_xi_reference(atom, surface, z, k_corr, settings):
     """response_g as a scalar loop: one k' adaptive per xi node, and one
-    angular batch per k' adaptive step (the same sinh map, and at k = 0 the
-    same single node per k')."""
+    angular batch per k' adaptive step (the same sinh map). At k = 0 the
+    angle between k' and k'' vanishes, so the phi integral is pi times one
+    kernel node per k': the kernel's own route to g(0) = F0."""
     k0 = 1.0 / z
     kernel = quad.a_perfect if surface.is_perfect else quad.a_exact
 
@@ -68,9 +71,7 @@ def response_per_xi_reference(atom, surface, z, k_corr, settings):
                 point = quad.kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d)
                 return kernel(point, z) * ((mu * delta / np.pi) * np.cosh(s))
 
-            vals, _ = cc_batch(
-                f_phi, quad._ANGULAR_FRAC * settings.rel_tol, max_half=settings.angular_max_half
-            )
+            vals, _ = cc_batch(f_phi, quad._ANGULAR_FRAC * settings.rel_tol)
             return jac * kp * vals
 
         return adaptive_gauss(
@@ -101,7 +102,8 @@ def _per_xi_outer(atom, z, settings, inner, pref):
 class TestSettings:
     def test_defaults_valid(self):
         s = QuadratureSettings()
-        assert s.rel_tol == 1e-6 and s.kz_cutoff == 40.0
+        assert (s.rel_tol, s.max_panels) == (1e-6, 4096)
+        assert [f.name for f in dataclasses.fields(s)] == ["rel_tol", "max_panels"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -110,10 +112,11 @@ class TestSettings:
             QuadratureSettings(max_panels=0)
         with pytest.raises(ValueError):
             QuadratureSettings(max_panels=3)
-        with pytest.raises(ValueError):
-            QuadratureSettings(angular_max_half=4)
-        with pytest.raises(ValueError):
-            QuadratureSettings(kz_cutoff=-1.0)
+
+    @pytest.mark.parametrize("removed", ["angular_max_half", "kz_cutoff"])
+    def test_removed_settings_are_rejected(self, removed):
+        with pytest.raises(TypeError, match=removed):
+            QuadratureSettings(**{removed: 16})
 
 
 class TestPlaneIntegrals:
@@ -290,9 +293,13 @@ class TestResponse:
 
     @pytest.mark.parametrize(
         "budget, layer",
-        [({"angular_max_half": 8}, "phi"), ({"max_panels": 4}, "kprime")],
+        [({"max_half": 8}, "phi"), ({"max_panels": 4}, "kprime")],
     )
-    def test_convergence_error_names_layer(self, osc_rb, silicon, budget, layer):
+    def test_convergence_error_names_layer(self, monkeypatch, osc_rb, silicon, budget, layer):
+        if "max_half" in budget:
+            # The angular rule, held to its first 33-point check.
+            monkeypatch.setattr(quad, "cc_batch", functools.partial(cc_batch, **budget))
+            budget = {}
         starved = QuadratureSettings(rel_tol=1e-13, **budget)
         with pytest.raises(quad.ConvergenceError) as info:
             quad.response_g(osc_rb, silicon, 1e-6, 3e6, starved)
@@ -303,6 +310,21 @@ class TestResponse:
         else:
             assert info.value.kp is None
 
+    @pytest.mark.parametrize("surface_name", ["silicon", "mirror"])
+    def test_zero_k_is_the_plane_force(self, monkeypatch, request, osc_rb, surface_name):
+        surface = request.getfixturevalue(surface_name)
+        s = QuadratureSettings(rel_tol=1e-4)
+        for name in ("kernel_point", "cc_batch"):
+            monkeypatch.setattr(quad, name, lambda *a, **k: pytest.fail("kernel path at k = 0"))
+        assert quad.response_g(osc_rb, surface, 1.05e-6, 0.0, s) == quad.plane_force(
+            osc_rb, surface, 1.05e-6, s
+        )
+
+    @pytest.mark.parametrize("k_corr", [math.nan, math.inf])
+    def test_wavenumber_must_be_finite(self, osc_rb, gold, k_corr):
+        with pytest.raises(ValueError, match="k_corr"):
+            quad.response_g(osc_rb, gold, 1e-6, k_corr)
+
     @pytest.mark.parametrize("surface_name", ["silicon", "gold", "mirror"])
     def test_lock_step_equals_per_xi_loop(self, request, osc_rb, surface_name):
         # Running the k' integrals of a step's xi nodes as rows, one
@@ -311,11 +333,16 @@ class TestResponse:
         surface = request.getfixturevalue(surface_name)
         s = QuadratureSettings(rel_tol=1e-4)
         z = 1.05e-6
-        for kz in (0.0, 3.0, 6.0):
+        for kz in (3.0, 6.0):
             got = quad.response_g(osc_rb, surface, z, kz / z, s)
             assert (got.value, got.error) == response_per_xi_reference(
                 osc_rb, surface, z, kz / z, s
             )
+        # At k = 0 response_g returns the plane force; the kernel's own
+        # route must agree with it within the two errors.
+        got = quad.response_g(osc_rb, surface, z, 0.0, s)
+        ref, ref_err = response_per_xi_reference(osc_rb, surface, z, 0.0, s)
+        assert abs(got.value - ref) <= got.error + ref_err
 
     def test_angle_at_vanishing_kpp_takes_its_limit(self, monkeypatch, osc_rb, silicon):
         # kz = 0.6 puts the midpoint K17 node v = 0.375 of the initial k'
