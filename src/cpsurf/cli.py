@@ -18,7 +18,7 @@ Exit codes: 0 success, 2 validation error (also for a malformed table or
 optical data file, inputs that put the arithmetic out of floating-point
 range, and point counts too large to allocate), 3 quadrature
 non-convergence. A failure prints one ``error:`` line and no numpy
-warnings.
+warnings; each distinct advisory prints one ``warning:`` line.
 """
 
 from __future__ import annotations

@@ -26,11 +26,11 @@ tail, a guard against aliasing and a rounding floor; see cc_batch), so
 most batches end with their first kernel_point call, of 33 points. At
 k = 0 the response is the flat-surface force, so response_g returns
 plane_force; beyond k z_A = 40 it returns a negligible zero. The k' leg
-of the kernel (its Fresnel set
-and the TM denominator) depends on k' only, so kernel_point builds it on
-the k' column and broadcasts it against the k'' x angle grid; each
-further Clenshaw-Curtis doubling is a new kernel_point call, so the leg
-is rebuilt at every doubling after the first 33 points.
+of the kernel (its Fresnel set and the TM denominator) depends on k'
+only, so kernel_point builds it on the k' column and broadcasts it
+against the k'' x angle grid; each further Clenshaw-Curtis doubling is a
+new kernel_point call, so the leg is rebuilt at every doubling after the
+first 33 points.
 Inner tolerances are set below the requested one so the reported error,
 outer estimate plus a tolerance-sized pad, is trustworthy. A
 ConvergenceError names the layer that failed ("xi", "kprime" or "phi"),

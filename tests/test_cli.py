@@ -597,8 +597,8 @@ class TestExitCodes:
             ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "direction": 1}}, "direction"),
             ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "x_points": [3]}}, "x_points"),
             ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5, "x_m": [[0]]}}, "grid"),
-            ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5}, "probe": {"delta_n": math.inf}}, "delta_n"),
             ("plane", {"output_csv": 5}, "output_csv"),
+            ("corrugation", {"corrugation": {"k_c_1_per_m": 1e5}, "probe": {"delta_n": math.inf}}, "delta_n"),
         ],
     )
     def test_malformed_setting(self, tmp_path, command, cfg, field):

@@ -50,21 +50,10 @@ class TestProfiles:
             prof.Sinusoid(1e-9, K_C, direction=(0.0, 0.0))
         with pytest.raises(ValueError):
             prof.Spectrum([])
-
-    @pytest.mark.parametrize(
-        "kwargs, field",
-        [
-            ({"h0": math.nan}, "h0"),
-            ({"h0": math.inf}, "h0"),
-            ({"k_c": math.nan}, "k_c"),
-            ({"k_c": math.inf}, "k_c"),
-            ({"phase": math.nan}, "phase"),
-            ({"phase": -math.inf}, "phase"),
-        ],
-    )
-    def test_non_finite_sinusoid_names_the_field(self, kwargs, field):
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            prof.Sinusoid(**{"h0": 1e-9, "k_c": K_C, **kwargs})
+        for field in ("h0", "k_c", "phase"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                    prof.Sinusoid(**{"h0": 1e-9, "k_c": K_C, field: bad})
 
 
 class TestFirstOrderAssembly:
