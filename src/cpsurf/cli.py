@@ -346,7 +346,8 @@ def _zk_sweep(args, columns: list[str], row) -> int:
     for z in sweep.z_grid:
         ks = _k_grid(args, sweep.cfg, z)
         g_of_k = g_evaluator(sweep.atom, sweep.surface, z, sweep.settings)
-        f0 = plane_force(sweep.atom, sweep.surface, z, sweep.settings)
+        # g(0) is the plane force, cached for a k = 0 grid point.
+        f0 = g_of_k(0.0)
         for k in ks:
             g = g_of_k(k)
             rho = ratio(g, f0)

@@ -371,11 +371,10 @@ def fresnel(model, k, xi) -> FresnelSet:
     kappa = np.sqrt(xi_c2 + k**2)
 
     if getattr(model, "is_perfect", False):
+        # Constants on kappa's shape as read-only broadcast views: no
+        # per-element fill.
         shape = np.shape(kappa)
-        minus = np.full(shape, -1.0)
-        plus = np.full(shape, 1.0)
-        zero = np.zeros(shape)
-        inf = np.full(shape, np.inf)
+        minus, plus, zero, inf = (np.broadcast_to(v, shape) for v in (-1.0, 1.0, 0.0, np.inf))
         fs = FresnelSet(minus, plus, zero, zero, kappa, inf)
     else:
         eps = model.eps(xi)

@@ -25,12 +25,15 @@ stops on an estimate of the error of the value it returns (Chebyshev
 tail, a guard against aliasing and a rounding floor; see cc_batch), so
 most batches end with their first kernel_point call, of 33 points. At
 k = 0 the response is the flat-surface force, so response_g returns
-plane_force; beyond k z_A = 40 it returns a negligible zero. The k' leg
-of the kernel (its Fresnel set and the TM denominator) depends on k'
-only, so kernel_point builds it on the k' column and broadcasts it
-against the k'' x angle grid; each further Clenshaw-Curtis doubling is a
-new kernel_point call, so the leg is rebuilt at every doubling after the
-first 33 points.
+plane_force; beyond k z_A = 40 it returns a negligible zero. The angular
+geometry (the map, k'' and the angle between k' and k'') depends on the
+k' nodes and the angle nodes but not on xi, so each k' round builds it
+once per k' line and angle node set and shares it, read-only, with every
+xi row on that line. The k' leg of the kernel (its Fresnel set and the
+TM denominator) depends on k' only, so kernel_point builds it on the k'
+column and broadcasts it against the k'' x angle grid; each further
+Clenshaw-Curtis doubling is a new kernel_point call, so the leg is still
+rebuilt, per row, at every doubling after the first 33 points.
 Inner tolerances are set below the requested one so the reported error,
 outer estimate plus a tolerance-sized pad, is trustworthy. A
 ConvergenceError names the layer that failed ("xi", "kprime" or "phi"),
@@ -218,6 +221,46 @@ def plane_force(
     return _plane_integral(atom, surface, z_atom, settings or QuadratureSettings(), True)
 
 
+def _angular_geometry(kp: np.ndarray, k_corr: float, t: np.ndarray) -> tuple:
+    """Geometry of one k' line on the angle nodes t in [0, pi].
+
+    Returns (kp_col, kpp, cos_d, sin_d, dphi_dt): the k' column of shape
+    (n, 1), k'' = |k' - k|, the cosine and sine of the angle from k'' to
+    k', and the Jacobian of the angle map, each (n, t.size). None depends
+    on xi. Every array is read-only, because the rows of a round share them.
+    """
+    # The k' leg goes in as the (n, 1) column, so its optics run once per
+    # k' node and broadcast over k'' and phi.
+    kp_col = kp[:, None]
+    # Sinh map phi = delta sinh(mu t / pi) on t in [0, pi], with
+    # mu = asinh(pi / delta) so that t = pi is phi = pi. k'' vanishes near
+    # phi = +-i delta, and the map spreads the nodes near phi = 0 on that
+    # scale (Johnston & Elliott, IJNME 62, 2005). Large delta tends to the
+    # identity map; the clip keeps mu finite and nonzero.
+    delta = np.clip(
+        np.abs(kp_col - k_corr) / np.sqrt(kp_col * k_corr), _DELTA_MIN, 1.0 / _DELTA_MIN
+    )
+    mu = np.arcsinh(np.pi / delta)
+    s = mu * (t / np.pi)
+    phi = delta * np.sinh(s)
+    # Half-angle form keeps k'' = |k' - k| cancellation-free near phi = 0;
+    # the direction cosines are true cosines, clipped only to shed
+    # rounding overshoot.
+    sin_half2 = np.sin(0.5 * phi) ** 2
+    kpp = np.sqrt((kp_col - k_corr) ** 2 + 4.0 * kp_col * k_corr * sin_half2)
+    safe = np.maximum(kpp, 1e-300)
+    cos_d = np.clip(((kp_col - k_corr) + 2.0 * k_corr * sin_half2) / safe, -1.0, 1.0)
+    sin_d = np.clip(-k_corr * np.sin(phi) / safe, -1.0, 1.0)
+    # Where k'' = 0 (k' = k at phi = 0) the clamp makes the ratio -0; its
+    # limit phi -> 0+ is -1.
+    sin_d = np.where(kpp > 0.0, sin_d, -1.0)
+    dphi_dt = (mu * delta / np.pi) * np.cosh(s)
+    geometry = (kp_col, kpp, cos_d, sin_d, dphi_dt)
+    for array in geometry:
+        array.flags.writeable = False
+    return geometry
+
+
 def response_g(
     atom,
     surface,
@@ -247,40 +290,16 @@ def response_g(
     angular_tol = _ANGULAR_FRAC * settings.rel_tol
     kernel = a_perfect if surface.is_perfect else a_exact
 
-    def angular(xi: float, kp: np.ndarray) -> np.ndarray:
-        # The k' leg goes in as the (n, 1) column, so its optics run once
-        # per k' node and broadcast over k'' and phi.
-        kp_col = kp[:, None]
-        # Sinh map phi = delta sinh(mu t / pi) on t in [0, pi], with
-        # mu = asinh(pi / delta) so that t = pi is phi = pi. k'' vanishes
-        # near phi = +-i delta, and the map spreads the nodes near phi = 0
-        # on that scale (Johnston & Elliott, IJNME 62, 2005). Large delta
-        # tends to the identity map; the clip keeps mu finite and nonzero.
-        delta = np.clip(
-            np.abs(kp_col - k_corr) / np.sqrt(kp_col * k_corr), _DELTA_MIN, 1.0 / _DELTA_MIN
-        )
-        mu = np.arcsinh(np.pi / delta)
-
+    def angular(xi: float, kp: np.ndarray, geometry: dict) -> np.ndarray:
+        # geometry maps the angle nodes' bytes to the geometry of this k'
+        # line on them, shared with every row of the round on this line.
         def f_phi(t: np.ndarray) -> np.ndarray:
-            s = mu * (t / np.pi)
-            phi = delta * np.sinh(s)
-            # Half-angle form keeps k'' = |k' - k| cancellation-free
-            # near phi = 0; the direction cosines are true cosines,
-            # clipped only to shed rounding overshoot.
-            sin_half2 = np.sin(0.5 * phi) ** 2
-            kpp = np.sqrt(
-                (kp_col - k_corr) ** 2 + 4.0 * kp_col * k_corr * sin_half2
-            )
-            safe = np.maximum(kpp, 1e-300)
-            cos_d = np.clip(
-                ((kp_col - k_corr) + 2.0 * k_corr * sin_half2) / safe, -1.0, 1.0
-            )
-            sin_d = np.clip(-k_corr * np.sin(phi) / safe, -1.0, 1.0)
-            # Where k'' = 0 (k' = k at phi = 0) the clamp makes the
-            # ratio -0; its limit phi -> 0+ is -1.
-            sin_d = np.where(kpp > 0.0, sin_d, -1.0)
+            key = t.tobytes()
+            if key not in geometry:
+                geometry[key] = _angular_geometry(kp, k_corr, t)
+            kp_col, kpp, cos_d, sin_d, dphi_dt = geometry[key]
             point = kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d)
-            return kernel(point, z_atom) * ((mu * delta / np.pi) * np.cosh(s))
+            return kernel(point, z_atom) * dphi_dt
 
         with _layer("phi", xi, kp):
             vals, _ = cc_batch(f_phi, angular_tol)
@@ -288,7 +307,15 @@ def response_g(
 
     def f_row(xi: np.ndarray, kp: np.ndarray, jac: np.ndarray) -> np.ndarray:
         # One angular batch per row: its k' nodes at its own scalar xi.
-        vals = np.array([angular(x, line) for x, line in zip(xi[:, 0], kp)])
+        # The geometry does not depend on xi, so rows on the same k' line
+        # share it; the memo lives for this round only.
+        memo: dict[bytes, dict[bytes, tuple]] = {}
+        vals = np.array(
+            [
+                angular(x, line, memo.setdefault(line.tobytes(), {}))
+                for x, line in zip(xi[:, 0], kp)
+            ]
+        )
         return jac * kp * vals
 
     return _result(_PREF_G, _xi_kprime(atom, z_atom, settings, f_row), settings)

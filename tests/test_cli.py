@@ -141,6 +141,23 @@ class TestResponse:
         assert_clean_exit(res, 0)
         assert column(parse_csv(res.stdout), "g_N")[0] < 0.0
 
+    def test_one_plane_integral_per_z(self, monkeypatch):
+        # g(0) is the plane force: the sweep takes F0 from the k = 0 point
+        # instead of running the plane integral again.
+        calls = []
+        original = quadrature._plane_integral
+
+        def spy(atom, surface, z_atom, settings, force):
+            calls.append((z_atom, force))
+            return original(atom, surface, z_atom, settings, force)
+
+        monkeypatch.setattr(quadrature, "_plane_integral", spy)
+        code, _, _ = run_main(
+            "response", *STATIC_MIRROR, *FAST, "--z", "1e-6,2e-6", "--kz", "0,3,6"
+        )
+        assert code == 0
+        assert calls == [(1e-6, True), (2e-6, True)]
+
     def test_cutoff_points_warn_and_zero(self):
         res = run_cli("response", *STATIC_MIRROR, *FAST, "--z", "1e-6", "--kz", "1,50")
         assert res.returncode == 0

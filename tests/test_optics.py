@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from cpsurf import cli, optics
+from cpsurf import cli, optics, quadrature
 from cpsurf.constants import C_LIGHT, GOLD_OMEGA_P, SILICON_EPS_STATIC, SILICON_OMEGA_DL
 
 
@@ -70,6 +72,45 @@ class TestFresnel:
         assert fs.r_te == -1.0 and fs.r_tm == 1.0
         assert fs.t_te == 0.0 and fs.t_tm == 0.0
         assert fs.kappa == pytest.approx(math.hypot(2e6, 3e15 / C_LIGHT), rel=1e-15)
+
+    def test_perfect_conductor_arrays_are_read_only_constants(self):
+        # The mirror's coefficients are constants on kappa's shape, handed
+        # out as read-only broadcast views rather than filled arrays.
+        k = np.geomspace(1e5, 1e8, 12).reshape(3, 4)
+        fs = optics.fresnel(optics.PerfectConductor(), k, 3e15)
+        old = {"r_te": np.full(k.shape, -1.0), "r_tm": np.full(k.shape, 1.0),
+               "t_te": np.zeros(k.shape), "t_tm": np.zeros(k.shape),
+               "kappa_t": np.full(k.shape, np.inf)}
+        for name, want in old.items():
+            got = getattr(fs, name)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert np.array_equal(fs.kappa, np.sqrt((3e15 / C_LIGHT) ** 2 + k**2))
+        scalar = optics.fresnel(optics.PerfectConductor(), 2e6, 3e15)
+        assert all(type(v) is float for v in scalar.__dict__.values())
+
+    def test_perfect_conductor_plane_csv_unchanged_by_views(self, monkeypatch):
+        # Filled, writable copies of every coefficient (the arrays the
+        # mirror's Fresnel set used to hold) give the same CSV bytes.
+        def plane_csv():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["plane", "--atom", "rb87-static", "--surface", "perfect",
+                                 "--rel-tol", "1e-5", "--z", "1e-7,2e-6"])
+            assert code == 0
+            return out.getvalue()
+
+        views = plane_csv()
+        original = quadrature.fresnel
+
+        def filled(model, k, xi):
+            fs = original(model, k, xi)
+            shape = np.shape(fs.kappa)
+            return optics.FresnelSet(*(np.array(np.broadcast_to(v, shape)) for v in fs.__dict__.values()))
+
+        monkeypatch.setattr(quadrature, "fresnel", filled)
+        assert plane_csv() == views
 
     def test_vacuum_is_transparent(self):
         fs = optics.fresnel(optics.Vacuum(), 2e6, 3e15)

@@ -344,6 +344,81 @@ class TestResponse:
         assert at_zero.size > 0
         assert np.all(at_zero == -1.0)
 
+    @staticmethod
+    def kernel_point_args(monkeypatch, atom, surface, z, kz, settings):
+        """The arguments of every kernel_point call of one response_g call,
+        all kept alive so that no two distinct arrays share an id."""
+        seen = []
+        original = quad.kernel_point
+
+        def spy(*args):
+            seen.append(args)
+            return original(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(quad, "kernel_point", spy)
+            quad.response_g(atom, surface, z, kz / z, settings)
+        return seen
+
+    @pytest.mark.parametrize("kz", [3.0, 6.0])
+    def test_rows_share_the_angular_geometry(self, monkeypatch, osc_rb, silicon, kz):
+        # The geometry depends on the k' line and the angle nodes, not on
+        # xi, so the xi rows of a round that start on the same k' nodes
+        # get the same k'' array.
+        seen = self.kernel_point_args(monkeypatch, osc_rb, silicon, 1.05e-6, kz, QuadratureSettings())
+        assert all(np.ndim(xi) == 0 for _, xi, *_ in seen)
+        distinct = {id(kpp) for _, _, _, kpp, _, _ in seen}
+        assert 10 * len(distinct) <= len(seen)
+
+    def test_shared_geometry_is_read_only(self, monkeypatch, osc_rb, silicon):
+        seen = self.kernel_point_args(
+            monkeypatch, osc_rb, silicon, 1.05e-6, 3.0, QuadratureSettings(rel_tol=1e-4)
+        )
+        assert seen
+        for _, _, kp_col, kpp, cos_d, sin_d in seen:
+            for array in (kp_col, kpp, cos_d, sin_d):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+
+    def test_captured_integrand_keys_on_the_nodes(self, monkeypatch, osc_rb, silicon):
+        # An angular integrand called again after its round, on a node set
+        # of the size it has already seen, must not take that set's
+        # geometry: its values equal a fresh integrand's on each set. A
+        # repeat on the same set reuses the geometry built for it.
+        def first_integrand():
+            batches = []
+
+            def spy(f, *args, **kwargs):
+                batches.append(f)
+                return cc_batch(f, *args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(quad, "cc_batch", spy)
+                quad.response_g(osc_rb, silicon, 1.05e-6, 3.0 / 1.05e-6, QuadratureSettings(rel_tol=1e-4))
+            return batches[0]
+
+        x33, _ = _integrate._cc_rule(16)
+        t_rule = 0.5 * np.pi * (x33 + 1.0)
+        t_even = np.linspace(0.0, np.pi, t_rule.size)
+        f = first_integrand()
+        got_rule, got_even = f(t_rule), f(t_even)
+        assert not np.array_equal(got_rule, got_even)
+        assert np.array_equal(got_rule, first_integrand()(t_rule))
+        assert np.array_equal(got_even, first_integrand()(t_even))
+
+        kpp_seen = []
+        original = quad.kernel_point
+
+        def spy(surface, xi, kp, kpp, cos_d, sin_d):
+            kpp_seen.append(kpp)
+            return original(surface, xi, kp, kpp, cos_d, sin_d)
+
+        monkeypatch.setattr(quad, "kernel_point", spy)
+        assert np.array_equal(f(t_even), got_even)
+        assert np.array_equal(f(t_even), got_even)
+        assert kpp_seen[0] is kpp_seen[1]
+
     def test_validation(self, static_rb, mirror, settings):
         for k_corr in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="k_corr"):
