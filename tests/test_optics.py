@@ -78,9 +78,13 @@ class TestFresnel:
         # out as read-only broadcast views rather than filled arrays.
         k = np.geomspace(1e5, 1e8, 12).reshape(3, 4)
         fs = optics.fresnel(optics.PerfectConductor(), k, 3e15)
-        old = {"r_te": np.full(k.shape, -1.0), "r_tm": np.full(k.shape, 1.0),
-               "t_te": np.zeros(k.shape), "t_tm": np.zeros(k.shape),
-               "kappa_t": np.full(k.shape, np.inf)}
+        old = {
+            "r_te": np.full(k.shape, -1.0),
+            "r_tm": np.full(k.shape, 1.0),
+            "t_te": np.zeros(k.shape),
+            "t_tm": np.zeros(k.shape),
+            "kappa_t": np.full(k.shape, np.inf),
+        }
         for name, want in old.items():
             got = getattr(fs, name)
             assert got.shape == want.shape and got.dtype == want.dtype
@@ -96,8 +100,10 @@ class TestFresnel:
         def plane_csv():
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                code = cli.main(["plane", "--atom", "rb87-static", "--surface", "perfect",
-                                 "--rel-tol", "1e-5", "--z", "1e-7,2e-6"])
+                code = cli.main(
+                    ["plane", "--atom", "rb87-static", "--surface", "perfect",
+                     "--rel-tol", "1e-5", "--z", "1e-7,2e-6"]
+                )
             assert code == 0
             return out.getvalue()
 
@@ -107,7 +113,8 @@ class TestFresnel:
         def filled(model, k, xi):
             fs = original(model, k, xi)
             shape = np.shape(fs.kappa)
-            return optics.FresnelSet(*(np.array(np.broadcast_to(v, shape)) for v in fs.__dict__.values()))
+            arrays = (np.array(np.broadcast_to(v, shape)) for v in fs.__dict__.values())
+            return optics.FresnelSet(*arrays)
 
         monkeypatch.setattr(quadrature, "fresnel", filled)
         assert plane_csv() == views

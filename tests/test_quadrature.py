@@ -365,7 +365,9 @@ class TestResponse:
         # The geometry depends on the k' line and the angle nodes, not on
         # xi, so the xi rows of a round that start on the same k' nodes
         # get the same k'' array.
-        seen = self.kernel_point_args(monkeypatch, osc_rb, silicon, 1.05e-6, kz, QuadratureSettings())
+        seen = self.kernel_point_args(
+            monkeypatch, osc_rb, silicon, 1.05e-6, kz, QuadratureSettings()
+        )
         assert all(np.ndim(xi) == 0 for _, xi, *_ in seen)
         distinct = {id(kpp) for _, _, _, kpp, _, _ in seen}
         assert 10 * len(distinct) <= len(seen)
@@ -395,7 +397,9 @@ class TestResponse:
 
             with monkeypatch.context() as m:
                 m.setattr(quad, "cc_batch", spy)
-                quad.response_g(osc_rb, silicon, 1.05e-6, 3.0 / 1.05e-6, QuadratureSettings(rel_tol=1e-4))
+                quad.response_g(
+                    osc_rb, silicon, 1.05e-6, 3.0 / 1.05e-6, QuadratureSettings(rel_tol=1e-4)
+                )
             return batches[0]
 
         x33, _ = _integrate._cc_rule(16)
