@@ -34,11 +34,9 @@ from .optics import (
     PerfectConductor,
     PlasmaMetal,
     TabulatedPermittivity,
-    Vacuum,
     fresnel,
     gold_plasma,
     kramers_kronig_imaginary_axis,
-    permittivity_imaginary_axis,
     silicon_drude_lorentz,
 )
 from .profile import (
@@ -84,7 +82,6 @@ __all__ = [
     "TabulatedPermittivity",
     "TabulatedPolarizability",
     "Transition",
-    "Vacuum",
     "bec_density_to_potential",
     "bec_potential_to_density",
     "bec_sensitivity",
@@ -103,7 +100,6 @@ __all__ = [
     "gold_plasma",
     "kramers_kronig_imaginary_axis",
     "lateral_force",
-    "permittivity_imaginary_axis",
     "pfa_first_order",
     "plane_force",
     "plane_potential",

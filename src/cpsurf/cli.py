@@ -59,6 +59,7 @@ from .profile import (
     detectability_report,
     first_order_potential,
     lateral_force,
+    pfa_first_order,
     rb87_bec_probe,
 )
 from .quadrature import (
@@ -498,14 +499,13 @@ def cmd_corrugation(args) -> int:
 
     g_of_k = g_evaluator(sweep.atom, sweep.surface, z, sweep.settings)
     g_val = g_of_k(k_c)  # primes the per-|k| cache for the x sweep
-    f0 = plane_force(sweep.atom, sweep.surface, z, sweep.settings)
 
     def one(x: float):
         r = (x, 0.0)
         u1 = first_order_potential(profile, r, z, g_of_k=g_of_k)
         fl = lateral_force(profile, r, z, g_of_k=g_of_k)
-        h = profile.height(r)
-        return [x, u1.value, u1.error, fl.value, fl.error, h * f0.value, abs(h) * f0.error]
+        pfa = pfa_first_order(profile, r, z, g_of_k=g_of_k)
+        return [x, u1.value, u1.error, fl.value, fl.error, pfa.value, pfa.error]
 
     # Each distinct library warning (a profile too steep) prints once.
     with warnings.catch_warnings(record=True) as caught:
@@ -513,9 +513,7 @@ def cmd_corrugation(args) -> int:
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
     _warn_negligible([g_val])
-    report = detectability_report(
-        profile, z, config=_build_probe(sweep.cfg), g_of_k=g_of_k
-    )
+    report = detectability_report(profile, z, g_of_k=g_of_k, config=_build_probe(sweep.cfg))
     report_obj = {
         "u1_amplitude_J": report.u1_amplitude,
         "u1_amplitude_eV": report.u1_amplitude / EV,
@@ -612,8 +610,8 @@ def cmd_selftest(args) -> int:
     gold = gold_plasma()
     rb = rubidium_single_oscillator()
     z1 = 1e-6
-    g0 = g_evaluator(rb, gold, z1, settings)(1e-4 / z1)
-    f0 = plane_force(rb, gold, z1, settings)
+    g_of_k = g_evaluator(rb, gold, z1, settings)
+    g0, f0 = g_of_k(1e-4 / z1), g_of_k(0.0)
     checks.append(("k -> 0 limit vs plane force", abs(g0.value / f0.value - 1.0), 1e-3))
 
     # Resonance width gamma / omega0 must be resolved by the log grid.

@@ -33,14 +33,12 @@ from .constants import (
 )
 
 __all__ = [
-    "Vacuum",
     "PerfectConductor",
     "PlasmaMetal",
     "DrudeLorentz",
     "TabulatedPermittivity",
     "FresnelSet",
     "RealAxisOpticalData",
-    "permittivity_imaginary_axis",
     "fresnel",
     "kramers_kronig_imaginary_axis",
     "read_optical_csv",
@@ -116,19 +114,6 @@ def _pchip_end_slope(h0, h1, m0, m1):
     if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
         return 3.0 * m0
     return d
-
-
-@dataclass(frozen=True)
-class Vacuum:
-    """eps(i xi) = 1: no interface response."""
-
-    is_perfect: bool = field(default=False, init=False, repr=False)
-
-    def eps(self, xi):
-        return np.ones_like(np.asarray(xi, dtype=float)) if np.ndim(xi) else 1.0
-
-    def eps_times_xi2(self, xi):
-        return np.asarray(xi, dtype=float) ** 2 if np.ndim(xi) else float(xi) ** 2
 
 
 @dataclass(frozen=True)
@@ -312,11 +297,6 @@ class TabulatedPermittivity:
         if np.any(~zero):
             out[~zero] = xi[~zero] ** 2 * self.eps(xi[~zero])
         return float(out[0]) if scalar else out
-
-
-def permittivity_imaginary_axis(model, xi):
-    """eps(i xi) for any model; perfect conductors refuse (by design)."""
-    return model.eps(xi)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@ cold-cloud probe estimator.
 
 A weakly corrugated surface z = h(x, y) shifts the flat-surface potential
 at first order in h by a sum over the profile's Fourier modes, each mode
-weighted by the response g(|k|, z_A). Profiles are either a single
-sinusoid (amplitude, wavenumber, phase, direction) or an explicit finite
-mode sum with complex amplitudes in meters; real profiles satisfy
+weighted by the response g(|k|, z_A). Every function here takes that
+response as ``g_of_k``, a function of |k| at the atom's distance
+(``quadrature.g_evaluator``, or a closed form), and runs no integral of
+its own; the proximity-force estimate reads g(0). Profiles are either a
+single sinusoid (amplitude, wavenumber, phase, direction) or an explicit
+finite mode sum with complex amplitudes in meters; real profiles satisfy
 H(-k) = H(k)*.
 
 The probe estimator converts a trapped quasi-1D atomic cloud's density to
@@ -26,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import HBAR, RB87_MASS, RB87_SCATTERING_LENGTH, TWO_PI
-from .quadrature import IntegralResult, QuadratureSettings, g_evaluator, plane_force
+from .quadrature import IntegralResult
 
 __all__ = [
     "Sinusoid",
@@ -146,14 +149,6 @@ def _warn_if_steep(profile, z_atom: float) -> None:
         )
 
 
-def _resolve_g(atom, surface, z_atom, settings, g_of_k):
-    if g_of_k is not None:
-        return g_of_k
-    if atom is None or surface is None:
-        raise ValueError("provide atom and surface, or a g_of_k evaluator")
-    return g_evaluator(atom, surface, z_atom, settings)
-
-
 def _assemble(profile, r_atom, z_atom, g_of_k) -> tuple[complex, float]:
     """Mode sum of the first-order potential; (complex value, abs error)."""
     r = np.asarray(r_atom, dtype=float)
@@ -173,28 +168,21 @@ def _assemble(profile, r_atom, z_atom, g_of_k) -> tuple[complex, float]:
 
 
 def first_order_potential(
-    profile,
-    r_atom,
-    z_atom: float,
-    atom=None,
-    surface=None,
-    settings: QuadratureSettings | None = None,
-    *,
-    g_of_k: Callable[[float], IntegralResult] | None = None,
+    profile, r_atom, z_atom: float, *, g_of_k: Callable[[float], IntegralResult]
 ) -> IntegralResult:
     """First-order corrugation potential U1(r_A, z_A) in J.
 
     Each profile mode contributes H e^{i k . r_A} g(|k|, z_A); a sinusoid
     gives h0 g(k_c, z_A) cos(k_c x_par + phase). Linear in every
-    amplitude. g values are cached per |k| within one call (pass
-    ``g_of_k`` to share that cache across calls). Raises on a spectrum
+    amplitude. ``g_of_k`` is g(|k|) at z_A, e.g. ``g_evaluator(atom,
+    surface, z_A, settings)``; reuse one evaluator across calls at the
+    same z_A to integrate each |k| once. Raises on a spectrum
     whose sum is not real (non-Hermitian input); warns, without failing,
     when the profile is too steep for first-order theory.
     """
     if not z_atom > profile.amplitude:
         raise ValueError("atom must sit above the highest surface point")
     _warn_if_steep(profile, z_atom)
-    g_of_k = _resolve_g(atom, surface, z_atom, settings, g_of_k)
     total, err = _assemble(profile, r_atom, z_atom, g_of_k)
     scale = max(abs(total), err)
     if scale > 0.0 and abs(total.imag) > 1e-9 * scale:
@@ -206,16 +194,9 @@ def first_order_potential(
 
 
 def lateral_force(
-    profile,
-    r_atom,
-    z_atom: float,
-    atom=None,
-    surface=None,
-    settings: QuadratureSettings | None = None,
-    *,
-    g_of_k: Callable[[float], IntegralResult] | None = None,
+    profile, r_atom, z_atom: float, *, g_of_k: Callable[[float], IntegralResult]
 ):
-    """Lateral force -dU1/dx_par in N.
+    """Lateral force -dU1/dx_par in N, from g_of_k = g(|k|) at z_A.
 
     For a sinusoid this is the analytic derivative along the corrugation
     direction, +h0 k_c g sin(k_c x_par + phase), returned as a scalar
@@ -226,7 +207,6 @@ def lateral_force(
     if not z_atom > profile.amplitude:
         raise ValueError("atom must sit above the highest surface point")
     _warn_if_steep(profile, z_atom)
-    g_of_k = _resolve_g(atom, surface, z_atom, settings, g_of_k)
     r = np.asarray(r_atom, dtype=float)
     if isinstance(profile, Sinusoid):
         g = g_of_k(profile.k_c)
@@ -254,23 +234,18 @@ def lateral_force(
 
 
 def pfa_first_order(
-    profile,
-    r_atom,
-    z_atom: float,
-    atom,
-    surface,
-    settings: QuadratureSettings | None = None,
+    profile, r_atom, z_atom: float, *, g_of_k: Callable[[float], IntegralResult]
 ) -> IntegralResult:
     """Proximity-force estimate of the first-order potential, J.
 
     Shifts the flat-surface potential by the local height: h(r_A) times
-    the plane force, i.e. the exact first-order result with every
-    g(|k|, z_A) replaced by g(0, z_A). The exact-to-PFA ratio is the
+    the plane force g_of_k(0.0), i.e. the exact first-order result with
+    every g(|k|, z_A) replaced by g(0, z_A). The exact-to-PFA ratio is the
     roll-off rho(k_c, z_A) for a sinusoid.
     """
     if not z_atom > profile.amplitude:
         raise ValueError("atom must sit above the highest surface point")
-    force = plane_force(atom, surface, z_atom, settings)
+    force = g_of_k(0.0)
     h = profile.height(r_atom)
     return IntegralResult(h * force.value, abs(h) * force.error)
 
@@ -357,16 +332,15 @@ class DetectabilityReport:
 def detectability_report(
     profile,
     z_atom: float,
-    atom=None,
-    surface=None,
-    config: BecProbeConfig | None = None,
-    settings: QuadratureSettings | None = None,
     *,
-    g_of_k: Callable[[float], IntegralResult] | None = None,
+    g_of_k: Callable[[float], IntegralResult],
+    config: BecProbeConfig | None = None,
 ) -> DetectabilityReport:
-    """Compare the first-order potential amplitude with the probe floor."""
+    """Compare the first-order potential amplitude, from g_of_k = g(|k|)
+    at z_A, with the probe floor (``config``, Rb87 by default)."""
+    if not z_atom > profile.amplitude:
+        raise ValueError("atom must sit above the highest surface point")
     config = config or rb87_bec_probe()
-    g_of_k = _resolve_g(atom, surface, z_atom, settings, g_of_k)
     if isinstance(profile, Sinusoid):
         amp = profile.h0 * abs(g_of_k(profile.k_c).value)
     else:

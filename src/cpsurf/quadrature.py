@@ -328,9 +328,13 @@ def rho(
     k_corr: float,
     settings: QuadratureSettings | None = None,
 ) -> IntegralResult:
-    """Roll-off rho(k, z_A) = g(k, z_A) / g(0, z_A); 1 at k = 0."""
-    g_k = response_g(atom, surface, z_atom, k_corr, settings)
-    return ratio(g_k, plane_force(atom, surface, z_atom, settings))
+    """Roll-off rho(k, z_A) = g(k, z_A) / g(0, z_A); 1 at k = 0.
+
+    Both come from one g_evaluator, so g(0) = F0 is integrated once, also
+    at k = 0.
+    """
+    g_of_k = g_evaluator(atom, surface, z_atom, settings)
+    return ratio(g_of_k(k_corr), g_of_k(0.0))
 
 
 def ratio(num: IntegralResult, den: IntegralResult) -> IntegralResult:
@@ -359,7 +363,13 @@ def eta_f(
 def g_evaluator(
     atom, surface, z_atom: float, settings: QuadratureSettings | None = None
 ) -> Callable[[float], IntegralResult]:
-    """Memoized g(|k|, z_A) for profile sums that repeat wavenumbers."""
+    """g(|k|, z_A) at one distance, memoized per |k| for the evaluator's life.
+
+    The one route from the models to every first-order quantity: g(0) is
+    the plane force F0 (plane_force's own result), rho = g(k) / g(0), and
+    the profile functions sum the modes of the g they are given. The memo
+    belongs to the returned function and goes with it.
+    """
     settings = settings or QuadratureSettings()
     cache: dict[float, IntegralResult] = {}
 

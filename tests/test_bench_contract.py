@@ -2,14 +2,16 @@
 library: it wraps entry points by name and binds their signatures, so a
 renamed or re-shaped layer would break traced runs without this check."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from cpsurf import quadrature as quad
+from cpsurf import cli, quadrature as quad
 from cpsurf.quadrature import QuadratureSettings
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +51,44 @@ def test_traced_integrals_count_every_layer(tracing, osc_rb, silicon):
     # Every adaptive panel hands the integrand the 17 G8/K17 nodes.
     gl_nodes = metrics["integrate.gl_nodes"]
     assert gl_nodes > 0 and gl_nodes % 17 == 0
+
+
+# Distances no other test uses, so nothing earlier in the session can have
+# made a pass cheap; --rel-tol 1e-4 keeps each pass small.
+TRACED_CLI_RUNS = {
+    "plane": ["plane", "--atom", "rb87", "--surface", "gold", "--z", "1.2345e-6,3.4567e-6"],
+    "response": [
+        "response", "--atom", "rb87", "--surface", "silicon", "--z", "1.2345e-6", "--kz", "0,3",
+    ],
+    "corrugation": [
+        "corrugation", "--atom", "rb87-static", "--surface", "perfect", "--z", "2.3456e-6",
+        "--lambda-c", "1.0123e-5", "--x-points", "3",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CLI_RUNS))
+def test_traced_cli_passes_repeat_and_match_untraced(tracing, name):
+    # bench/run.py fails a traced run whose layer counts differ between
+    # passes or whose CSV bytes differ from the untraced ones. State kept
+    # from one invocation to the next (a cross-call cache) makes a later
+    # pass count less work, or none: the first pass must integrate.
+    argv = TRACED_CLI_RUNS[name] + ["--rel-tol", "1e-4"]
+
+    def run() -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        return out.getvalue()
+
+    texts, counts = [], []
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            texts.append(run())
+        metrics = tracer.layer_metrics()
+        counts.append({k: v for k, v in metrics.items() if not k.endswith("_s")})
+    texts.append(run())
+    assert counts[0] == counts[1]
+    assert counts[0]["optics.fresnel.calls"] > 0
+    assert texts[0] == texts[1] == texts[2]

@@ -13,7 +13,8 @@ from cpsurf.constants import C_LIGHT, GOLD_OMEGA_P, SILICON_EPS_STATIC, SILICON_
 
 class TestPermittivityModels:
     def test_vacuum(self):
-        v = optics.Vacuum()
+        # eps_static = 1 is the vacuum: eps = 1 exactly at every xi.
+        v = optics.DrudeLorentz(1e15, 1.0)
         assert v.eps(0.0) == 1.0 and v.eps(1e15) == 1.0
 
     def test_gold_plasma_formula(self):
@@ -40,7 +41,7 @@ class TestPermittivityModels:
 
     def test_array_support(self):
         xi = np.array([1e14, 1e15, 1e16])
-        out = optics.permittivity_imaginary_axis(optics.silicon_drude_lorentz(), xi)
+        out = optics.silicon_drude_lorentz().eps(xi)
         assert out.shape == (3,)
         assert np.all(np.diff(out) < 0.0)
 
@@ -120,7 +121,7 @@ class TestFresnel:
         assert plane_csv() == views
 
     def test_vacuum_is_transparent(self):
-        fs = optics.fresnel(optics.Vacuum(), 2e6, 3e15)
+        fs = optics.fresnel(optics.DrudeLorentz(1e15, 1.0), 2e6, 3e15)
         assert fs.r_te == 0.0 and fs.r_tm == 0.0
         assert fs.t_te == 1.0 and fs.t_tm == 1.0
 
@@ -168,7 +169,7 @@ class TestFresnel:
             optics.gold_plasma(),
             optics.silicon_drude_lorentz(),
             optics.PerfectConductor(),
-            optics.Vacuum(),
+            optics.DrudeLorentz(1e15, 1.0),
             optics.TabulatedPermittivity(
                 np.geomspace(1e12, 1e18, 30),
                 1.0 + 10.0 / (1.0 + (np.geomspace(1e12, 1e18, 30) / 3e15) ** 2),

@@ -168,23 +168,24 @@ class TestQuadratureRoute:
     def test_headline_amplitude(self, static_rb, mirror, fast_settings):
         # 100 nm sinusoid, 10 um period, 2 um distance, static Rb, mirror.
         s = prof.Sinusoid(100e-9, K_C)
-        u1 = prof.first_order_potential(s, (0.0, 0.0), Z_A, static_rb, mirror, fast_settings)
+        g = quad.g_evaluator(static_rb, mirror, Z_A, fast_settings)
+        u1 = prof.first_order_potential(s, (0.0, 0.0), Z_A, g_of_k=g)
         assert u1.value < 0.0
         assert abs(u1.value) / EV == pytest.approx(1.1344603465e-14, rel=1e-6)
 
     def test_trough_flips_sign(self, static_rb, mirror, fast_settings):
         s = prof.Sinusoid(100e-9, K_C)
-        crest = prof.first_order_potential(s, (0.0, 0.0), Z_A, static_rb, mirror, fast_settings)
-        trough = prof.first_order_potential(
-            s, (math.pi / K_C, 0.0), Z_A, static_rb, mirror, fast_settings
-        )
+        g = quad.g_evaluator(static_rb, mirror, Z_A, fast_settings)
+        crest = prof.first_order_potential(s, (0.0, 0.0), Z_A, g_of_k=g)
+        trough = prof.first_order_potential(s, (math.pi / K_C, 0.0), Z_A, g_of_k=g)
         assert trough.value == pytest.approx(-crest.value, rel=1e-9)
 
     def test_exact_to_pfa_ratio_is_rho(self, static_rb, mirror, fast_settings):
         s = prof.Sinusoid(100e-9, K_C)
         r = (0.8e-6, 0.0)
-        u1 = prof.first_order_potential(s, r, Z_A, static_rb, mirror, fast_settings)
-        pfa = prof.pfa_first_order(s, r, Z_A, static_rb, mirror, fast_settings)
+        g = quad.g_evaluator(static_rb, mirror, Z_A, fast_settings)
+        u1 = prof.first_order_potential(s, r, Z_A, g_of_k=g)
+        pfa = prof.pfa_first_order(s, r, Z_A, g_of_k=g)
         # U1 = h(r) g(k_c) vs PFA = h(r) g(0) and force = potential slope
         # reuse the same quadrature, so the ratio is exactly rho(k_c).
         rho = quad.rho(static_rb, mirror, Z_A, K_C, fast_settings)
@@ -193,9 +194,28 @@ class TestQuadratureRoute:
     def test_long_wavelength_limit_is_pfa(self, static_rb, mirror, fast_settings):
         s = prof.Sinusoid(100e-9, 2.0 * math.pi / 1.0)
         r = (0.1, 0.0)
-        u1 = prof.first_order_potential(s, r, Z_A, static_rb, mirror, fast_settings)
-        pfa = prof.pfa_first_order(s, r, Z_A, static_rb, mirror, fast_settings)
+        g = quad.g_evaluator(static_rb, mirror, Z_A, fast_settings)
+        u1 = prof.first_order_potential(s, r, Z_A, g_of_k=g)
+        pfa = prof.pfa_first_order(s, r, Z_A, g_of_k=g)
         assert u1.value == pytest.approx(pfa.value, rel=1e-6)
+
+
+class TestPfa:
+    def test_pfa_is_height_times_g_at_zero(self):
+        # The PFA reads g(0) from the evaluator it is given, nothing else.
+        asked = []
+
+        def g_of_k(k: float) -> IntegralResult:
+            asked.append(k)
+            return IntegralResult(-3e-28 * (1.0 + k * Z_A), 2e-33)
+
+        s = prof.Sinusoid(100e-9, K_C, phase=0.4)
+        r = (0.7e-6, 0.0)
+        pfa = prof.pfa_first_order(s, r, Z_A, g_of_k=g_of_k)
+        h = s.height(r)
+        assert asked == [0.0]
+        assert pfa.value == h * -3e-28
+        assert pfa.error == abs(h) * 2e-33
 
 
 class TestLateralForce:
@@ -297,6 +317,7 @@ class TestDetectability:
 
     def test_quadrature_route_agrees(self, static_rb, mirror, fast_settings):
         s = prof.Sinusoid(100e-9, K_C)
-        rep = prof.detectability_report(s, 2e-6, static_rb, mirror, settings=fast_settings)
+        g = quad.g_evaluator(static_rb, mirror, 2e-6, fast_settings)
+        rep = prof.detectability_report(s, 2e-6, g_of_k=g)
         assert rep.ratio == pytest.approx(0.648851383851919, rel=1e-6)
         assert rep.classification == "marginal"

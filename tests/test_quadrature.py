@@ -514,6 +514,23 @@ class TestDerivedQuantities:
         r = quad.rho(static_rb, mirror, z, 1.0 / z, fast_settings)
         assert r.value == pytest.approx(cf.rho_cp_perf(1.0), rel=2e-4)
 
+    @pytest.mark.parametrize("k_corr", [0.0, 2e6])
+    def test_rho_runs_one_plane_integral(
+        self, monkeypatch, static_rb, mirror, fast_settings, k_corr
+    ):
+        # g(0) = F0 comes from the same evaluator as g(k), so k = 0 does
+        # not integrate the plane a second time for the denominator.
+        calls = []
+        plane_integral = quad._plane_integral
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return plane_integral(*args, **kwargs)
+
+        monkeypatch.setattr(quad, "_plane_integral", spy)
+        quad.rho(static_rb, mirror, 1e-6, k_corr, fast_settings)
+        assert len(calls) == 1
+
     def test_rho_propagates_negligible(self, static_rb, mirror, settings):
         r = quad.rho(static_rb, mirror, 1e-6, 50.0 / 1e-6, settings)
         assert r.negligible and r.value == 0.0
