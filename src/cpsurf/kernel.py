@@ -66,16 +66,13 @@ def kernel_point(surface, xi: float, kp, kpp, cos_dphi, sin_dphi) -> KernelPoint
     The TM denominator d_tm = xi^2/c^2 - kappa'^2 (eps + 1) is strictly
     negative for eps > 0. Every TM term divides by it, so a point where it
     is not (eps <= 0, or scales so far out that kappa'^2 underflows
-    against an infinite eps) raises ValueError.
+    against an infinite eps) raises ValueError. ``fresnel`` validates xi
+    and the wavenumbers, with a ValueError for xi <= 0 or k < 0.
     """
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
     kp = np.asarray(kp, dtype=float)
     kpp = np.asarray(kpp, dtype=float)
     cos_dphi = np.asarray(cos_dphi, dtype=float)
     sin_dphi = np.asarray(sin_dphi, dtype=float)
-    if np.any(kp < 0.0) or np.any(kpp < 0.0):
-        raise ValueError("wavenumbers must be non-negative")
     fres_p = fresnel(surface, kp, xi)
     fres_pp = fresnel(surface, kpp, xi)
     if surface.is_perfect:

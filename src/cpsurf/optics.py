@@ -12,9 +12,10 @@ which rejects a malformed file with a ValueError naming it. Tables are
 interpolated by ``_pchip``, an in-repo numpy port of SciPy's monotone
 cubic (PCHIP) interpolator, so importing cpsurf does not import scipy.
 
-Everything is evaluated at imaginary frequency omega = i xi (xi >= 0),
-where eps is real and >= 1 for passive media and all integrands that use
-these quantities are smooth and sign-definite.
+Everything is evaluated at imaginary frequency omega = i xi with xi > 0,
+the domain of the zero-temperature frequency integral, where eps is real
+and >= 1 for passive media and all integrands that use these quantities
+are smooth and sign-definite. ``fresnel`` rejects xi <= 0 (and NaN).
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ class PlasmaMetal:
         return out if out.ndim else float(out)
 
     def eps_times_xi2(self, xi):
-        # Finite at xi = 0, where eps itself diverges.
+        # Stays finite at tiny xi, where eps = 1 + omega_p^2/xi^2 overflows.
         xi = np.asarray(xi, dtype=float)
         out = xi**2 + self.omega_p**2
         return out if out.ndim else float(out)
@@ -220,7 +221,6 @@ class TabulatedPermittivity:
         eps: np.ndarray,
         extrapolate_low: str = "strict",
         extrapolate_high: str = "strict",
-        eps_zero: float | None = None,
     ):
         xi = np.asarray(xi, dtype=float)
         eps = np.asarray(eps, dtype=float)
@@ -232,7 +232,7 @@ class TabulatedPermittivity:
             raise ValueError("xi samples must be positive")
         if eps.shape != xi.shape:
             raise ValueError("xi and eps shapes differ")
-        if not np.all(eps > 1.0) or not (eps_zero is None or eps_zero > 1.0):
+        if not np.all(eps > 1.0):
             raise ValueError("tabulated eps(i xi) must exceed 1")
         if extrapolate_low not in ("strict", "constant", "inverse_square"):
             raise ValueError(f"unknown extrapolate_low {extrapolate_low!r}")
@@ -242,7 +242,6 @@ class TabulatedPermittivity:
         self.eps_samples = eps
         self.extrapolate_low = extrapolate_low
         self.extrapolate_high = extrapolate_high
-        self.eps_zero = eps_zero
         self._interp = _pchip(np.log(xi), np.log(eps - 1.0))
 
     def eps(self, xi):
@@ -250,9 +249,10 @@ class TabulatedPermittivity:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         out = np.empty_like(xi)
         lo, hi = self.xi[0], self.xi[-1]
-        inside = (xi >= lo) & (xi <= hi)
         below = xi < lo
         above = xi > hi
+        # NaN is in neither end range: it takes the interpolant, NaN out.
+        inside = ~(below | above)
         if np.any(below):
             if self.extrapolate_low == "strict":
                 raise ValueError(
@@ -265,9 +265,6 @@ class TabulatedPermittivity:
                 a_low = (self.eps_samples[0] - 1.0) * lo**2
                 with np.errstate(divide="ignore"):
                     out[below] = 1.0 + a_low / xi[below] ** 2
-            zero = below & (xi == 0.0)
-            if np.any(zero) and self.eps_zero is not None:
-                out[zero] = self.eps_zero
         if np.any(above):
             if self.extrapolate_high == "strict":
                 raise ValueError(
@@ -281,22 +278,9 @@ class TabulatedPermittivity:
         return float(out[0]) if scalar else out
 
     def eps_times_xi2(self, xi):
-        scalar = np.ndim(xi) == 0
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.empty_like(xi)
-        zero = xi == 0.0
-        if np.any(zero):
-            if self.extrapolate_low == "inverse_square":
-                out[zero] = (self.eps_samples[0] - 1.0) * self.xi[0] ** 2
-            elif self.extrapolate_low == "constant":
-                out[zero] = 0.0
-            else:
-                raise ValueError(
-                    "xi = 0 below tabulated range and no extrapolation declared"
-                )
-        if np.any(~zero):
-            out[~zero] = xi[~zero] ** 2 * self.eps(xi[~zero])
-        return float(out[0]) if scalar else out
+        xi = np.asarray(xi, dtype=float)
+        out = xi**2 * self.eps(xi)
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -324,30 +308,28 @@ def fresnel(model, k, xi) -> FresnelSet:
     """Fresnel set at transverse wavenumber(s) k and imaginary frequency xi.
 
     k (m^-1) and xi (rad/s) are scalars or arrays that broadcast against
-    each other, all >= 0; k and xi must not both vanish at any element.
-    The result has the broadcast shape (floats when both are scalars). The
-    model permittivity is evaluated on xi's own shape before broadcasting,
-    so a column of xi against a k matrix costs one eps per row. (xi/c)^2
-    is taken with the same pow for array and scalar xi, so an array-xi
-    call matches scalar-xi calls bit for bit wherever the model's own
-    eps(xi) does.
+    each other, every k >= 0 and every xi > 0; anything else (NaN too) is
+    a ValueError. The result has the broadcast shape (floats when both are
+    scalars). The model permittivity is evaluated on xi's own shape before
+    broadcasting, so a column of xi against a k matrix costs one eps per
+    row. (xi/c)^2 is taken with the same pow for array and scalar xi, so
+    an array-xi call matches scalar-xi calls bit for bit wherever the
+    model's own eps(xi) does.
     """
     scalar_xi = np.ndim(xi) == 0
     scalar = scalar_xi and np.ndim(k) == 0
     k = np.asarray(k, dtype=float)
     if scalar_xi:
-        negative = xi < 0.0
-        both_zero = xi == 0.0 and np.any(k == 0.0)
+        positive = xi > 0.0
         xi_c2 = (xi / C_LIGHT) ** 2
     else:
         xi = np.asarray(xi, dtype=float)
-        negative = np.any(xi < 0.0)
-        both_zero = np.any((xi == 0.0) & (k == 0.0))
+        positive = np.all(xi > 0.0)
         xi_c2 = np.float_power(xi / C_LIGHT, 2)
-    if negative or np.any(k < 0.0):
-        raise ValueError("k and xi must be non-negative")
-    if both_zero:
-        raise ValueError("k and xi must not both vanish")
+    if not positive:
+        raise ValueError("xi must be positive")
+    if np.any(k < 0.0):
+        raise ValueError("wavenumbers must be non-negative")
     kappa = np.sqrt(xi_c2 + k**2)
 
     if getattr(model, "is_perfect", False):
@@ -365,8 +347,8 @@ def fresnel(model, k, xi) -> FresnelSet:
             r_tm = (eps * kappa - kappa_t) / (eps * kappa + kappa_t)
             t_tm = 2.0 * math.sqrt(eps) * kappa / (eps * kappa + kappa_t)
         else:
-            # Plasma-type model at xi = 0 has eps = inf: TM saturates
-            # (r = 1, t = 0) while TE stays partial.
+            # A plasma eps overflows to inf at tiny xi (omega_p^2 / xi^2):
+            # TM saturates (r = 1, t = 0) while TE stays partial.
             saturated = np.isinf(eps)
             with np.errstate(invalid="ignore"):
                 r_tm = np.where(
@@ -591,20 +573,19 @@ def read_imaginary_axis_csv(
     extrapolate_low: str = "strict",
     extrapolate_high: str = "strict",
 ) -> TabulatedPermittivity:
-    """Read `xi_rad_s,eps_i_xi` rows; a row at xi = 0 becomes ``eps_zero``.
+    """Read `xi_rad_s,eps_i_xi` rows.
 
-    A table the model rejects (fewer than two xi > 0 samples, xi not
-    ascending, eps <= 1) is a ValueError that names the file.
+    A table the model rejects (fewer than two samples, a sample at
+    xi <= 0, xi not ascending, eps <= 1) is a ValueError that names the
+    file.
     """
     rows, _ = _read_two_columns(path, "xi_rad_s,eps_i_xi")
-    zero = rows[:, 0] == 0.0
     try:
         return TabulatedPermittivity(
-            rows[~zero, 0],
-            rows[~zero, 1],
+            rows[:, 0],
+            rows[:, 1],
             extrapolate_low=extrapolate_low,
             extrapolate_high=extrapolate_high,
-            eps_zero=float(rows[zero, 1][-1]) if zero.any() else None,
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

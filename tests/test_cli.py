@@ -438,9 +438,9 @@ class TestTableSurface:
         "text, message",
         [
             pytest.param("1e14,0.5\n1e15,0.4\n", "must exceed 1", id="eps-at-most-1"),
-            pytest.param("0,0.5\n1e14,3.0\n1e15,2.0\n", "must exceed 1", id="eps-at-zero-xi"),
+            pytest.param("0,0.5\n1e14,3.0\n1e15,2.0\n", "positive", id="row-at-zero-xi"),
             pytest.param("1e15,3.0\n1e14,4.0\n", "strictly ascending", id="xi-descending"),
-            pytest.param("0,12.0\n1e14,3.0\n", "at least two", id="one-sample"),
+            pytest.param("1e14,3.0\n", "at least two", id="one-sample"),
         ],
     )
     def test_rejected_table_exits_2_naming_the_file(self, tmp_path, text, message):

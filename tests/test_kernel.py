@@ -209,3 +209,23 @@ class TestPerfectLimit:
         assert column.fres_p.kappa.shape == (3, 1)
         a = kernel.a_perfect if surface.is_perfect else kernel.a_exact
         np.testing.assert_array_equal(a(column, za), a(full, za))
+
+
+class TestKernelPointValidation:
+    # kernel_point makes no check of its own: its two fresnel calls reject
+    # these.
+    @pytest.mark.parametrize("surface", [GOLD, SILICON, MIRROR], ids=["gold", "silicon", "mirror"])
+    @pytest.mark.parametrize(
+        "xi, kp, kpp, message",
+        [
+            (0.0, 1e6, 2e6, "xi must be positive"),
+            (-1e15, 1e6, 2e6, "xi must be positive"),
+            (math.nan, 1e6, 2e6, "xi must be positive"),
+            (1e15, -1e6, 2e6, "wavenumbers must be non-negative"),
+            (1e15, 1e6, np.array([2e6, -1.0]), "wavenumbers must be non-negative"),
+        ],
+        ids=["xi-zero", "xi-negative", "xi-nan", "kp-negative", "kpp-negative"],
+    )
+    def test_rejects_bad_arguments(self, surface, xi, kp, kpp, message):
+        with pytest.raises(ValueError, match=message):
+            kernel.kernel_point(surface, xi, kp, kpp, 1.0, 0.0)
