@@ -15,7 +15,8 @@ cubic (PCHIP) interpolator, so importing cpsurf does not import scipy.
 Everything is evaluated at imaginary frequency omega = i xi with xi > 0,
 the domain of the zero-temperature frequency integral, where eps is real
 and >= 1 for passive media and all integrands that use these quantities
-are smooth and sign-definite. ``fresnel`` rejects xi <= 0 (and NaN).
+are smooth and sign-definite. ``decay_constants``, which ``fresnel`` and
+the kernel call, rejects xi <= 0 (and NaN).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "TabulatedPermittivity",
     "FresnelSet",
     "RealAxisOpticalData",
+    "decay_constants",
     "fresnel",
     "kramers_kronig_imaginary_axis",
     "read_optical_csv",
@@ -285,79 +287,84 @@ class TabulatedPermittivity:
 
 @dataclass(frozen=True)
 class FresnelSet:
-    """Reflection and transmission amplitudes at one (k, xi).
+    """Reflection amplitudes and decay constants at one (k, xi).
 
     kappa   = sqrt(xi^2/c^2 + k^2)            vacuum-side decay constant
     kappa_t = sqrt(k^2 + eps(i xi) xi^2/c^2)  medium-side decay constant
 
     r_te = (kappa - kappa_t) / (kappa + kappa_t)
     r_tm = (eps kappa - kappa_t) / (eps kappa + kappa_t)
-    t_te = 2 kappa / (kappa + kappa_t)
-    t_tm = 2 sqrt(eps) kappa / (eps kappa + kappa_t)
+
+    There are no transmission amplitudes: the first-order kernel cancels
+    them symbolically (kernel.a_exact), and nothing else reads them.
     """
 
     r_te: object
     r_tm: object
-    t_te: object
-    t_tm: object
     kappa: object
     kappa_t: object
+
+
+def decay_constants(model, k, xi):
+    """Decay constants (kappa, kappa_t) at wavenumber(s) k and imaginary
+    frequency xi, with kappa_t = inf for a perfect conductor.
+
+    k (m^-1) and xi (rad/s) are scalars or arrays that broadcast against
+    each other, every k >= 0 and every xi > 0; anything else (NaN too) is
+    a ValueError. This is the one place those checks are made: ``fresnel``
+    and the kernel both come here. The results have the broadcast shape.
+    The model is evaluated on xi's own shape before broadcasting, so a
+    column of xi against a k matrix costs one eps per row. (xi/c)^2 is
+    taken with the same pow for array and scalar xi, so an array-xi call
+    matches scalar-xi calls bit for bit wherever the model's own eps(xi)
+    does.
+    """
+    k = np.asarray(k, dtype=float)
+    if np.ndim(xi) == 0:
+        positive = xi > 0.0
+        xi_c2 = (xi / C_LIGHT) ** 2
+    else:
+        xi = np.asarray(xi, dtype=float)
+        positive = (xi > 0.0).all()
+        xi_c2 = np.float_power(xi / C_LIGHT, 2)
+    if not positive:
+        raise ValueError("xi must be positive")
+    if (k < 0.0).any():
+        raise ValueError("wavenumbers must be non-negative")
+    k2 = k**2
+    kappa = np.sqrt(xi_c2 + k2)
+    if getattr(model, "is_perfect", False):
+        # A read-only broadcast view: no per-element fill.
+        return kappa, np.broadcast_to(np.inf, np.shape(kappa))
+    return kappa, np.sqrt(k2 + model.eps_times_xi2(xi) / C_LIGHT**2)
 
 
 def fresnel(model, k, xi) -> FresnelSet:
     """Fresnel set at transverse wavenumber(s) k and imaginary frequency xi.
 
-    k (m^-1) and xi (rad/s) are scalars or arrays that broadcast against
-    each other, every k >= 0 and every xi > 0; anything else (NaN too) is
-    a ValueError. The result has the broadcast shape (floats when both are
-    scalars). The model permittivity is evaluated on xi's own shape before
-    broadcasting, so a column of xi against a k matrix costs one eps per
-    row. (xi/c)^2 is taken with the same pow for array and scalar xi, so
-    an array-xi call matches scalar-xi calls bit for bit wherever the
-    model's own eps(xi) does.
+    Arguments, checks and shapes are those of ``decay_constants``; the
+    result is floats when k and xi are both scalars.
     """
-    scalar_xi = np.ndim(xi) == 0
-    scalar = scalar_xi and np.ndim(k) == 0
-    k = np.asarray(k, dtype=float)
-    if scalar_xi:
-        positive = xi > 0.0
-        xi_c2 = (xi / C_LIGHT) ** 2
-    else:
-        xi = np.asarray(xi, dtype=float)
-        positive = np.all(xi > 0.0)
-        xi_c2 = np.float_power(xi / C_LIGHT, 2)
-    if not positive:
-        raise ValueError("xi must be positive")
-    if np.any(k < 0.0):
-        raise ValueError("wavenumbers must be non-negative")
-    kappa = np.sqrt(xi_c2 + k**2)
-
+    scalar = np.ndim(xi) == 0 and np.ndim(k) == 0
+    kappa, kappa_t = decay_constants(model, k, xi)
     if getattr(model, "is_perfect", False):
-        # Constants on kappa's shape as read-only broadcast views: no
-        # per-element fill.
+        # Constants on kappa's shape as read-only broadcast views.
         shape = np.shape(kappa)
-        minus, plus, zero, inf = (np.broadcast_to(v, shape) for v in (-1.0, 1.0, 0.0, np.inf))
-        fs = FresnelSet(minus, plus, zero, zero, kappa, inf)
+        fs = FresnelSet(np.broadcast_to(-1.0, shape), np.broadcast_to(1.0, shape), kappa, kappa_t)
     else:
         eps = model.eps(xi)
-        kappa_t = np.sqrt(k**2 + model.eps_times_xi2(xi) / C_LIGHT**2)
         r_te = (kappa - kappa_t) / (kappa + kappa_t)
-        t_te = 2.0 * kappa / (kappa + kappa_t)
         if isinstance(eps, float) and not math.isinf(eps):
             r_tm = (eps * kappa - kappa_t) / (eps * kappa + kappa_t)
-            t_tm = 2.0 * math.sqrt(eps) * kappa / (eps * kappa + kappa_t)
         else:
             # A plasma eps overflows to inf at tiny xi (omega_p^2 / xi^2):
-            # TM saturates (r = 1, t = 0) while TE stays partial.
+            # TM saturates (r = 1) while TE stays partial.
             saturated = np.isinf(eps)
             with np.errstate(invalid="ignore"):
                 r_tm = np.where(
                     saturated, 1.0, (eps * kappa - kappa_t) / (eps * kappa + kappa_t)
                 )
-                t_tm = np.where(
-                    saturated, 0.0, 2.0 * np.sqrt(eps) * kappa / (eps * kappa + kappa_t)
-                )
-        fs = FresnelSet(r_te, r_tm, t_te, t_tm, kappa, kappa_t)
+        fs = FresnelSet(r_te, r_tm, kappa, kappa_t)
     if scalar:
         return FresnelSet(*(float(np.asarray(v).reshape(())) for v in fs.__dict__.values()))
     return fs

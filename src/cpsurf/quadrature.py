@@ -29,11 +29,12 @@ plane_force; beyond k z_A = 40 it returns a negligible zero. The angular
 geometry (the map, k'' and the angle between k' and k'') depends on the
 k' nodes and the angle nodes but not on xi, so each k' round builds it
 once per k' line and angle node set and shares it, read-only, with every
-xi row on that line. The k' leg of the kernel (its Fresnel set and the
-TM denominator) depends on k' only, so kernel_point builds it on the k'
-column and broadcasts it against the k'' x angle grid; each further
-Clenshaw-Curtis doubling is a new kernel_point call, so the leg is still
-rebuilt, per row, at every doubling after the first 33 points.
+xi row on that line. The kernel forms no Fresnel set: kernel_point takes
+the decay constants kappa, kappa_t of both legs and eps, and the k' leg
+(kappa', kappa'_t and its TE and TM factors) depends on k' only, so it is
+built on the k' column, n elements, and broadcast against the k'' x angle
+grid. A further Clenshaw-Curtis doubling is a new kernel_point call, which
+rebuilds only those n elements of the leg.
 Inner tolerances are set below the requested one so the reported error,
 outer estimate plus a tolerance-sized pad, is trustworthy. A
 ConvergenceError names the layer that failed ("xi", "kprime" or "phi"),

@@ -92,3 +92,18 @@ def test_traced_cli_passes_repeat_and_match_untraced(tracing, name):
     assert counts[0] == counts[1]
     assert counts[0]["optics.fresnel.calls"] > 0
     assert texts[0] == texts[1] == texts[2]
+
+
+def test_tracer_patches_resolve_and_restore(tracing):
+    # Every (owner, attribute) the tracer patches must exist on its owner
+    # itself (installed() reads vars(owner)[attr]: a name the library no
+    # longer binds is a KeyError that ends every traced run), and on exit
+    # each must be the original object again.
+    tracer = tracing.Tracer()
+    targets = [(owner, attr) for owner, attr, _ in tracer._patches()]
+    originals = [vars(owner)[attr] for owner, attr in targets]
+    with tracer.installed():
+        for (owner, attr), original in zip(targets, originals):
+            assert vars(owner)[attr] is not original, (owner, attr)
+    for (owner, attr), original in zip(targets, originals):
+        assert vars(owner)[attr] is original, (owner, attr)

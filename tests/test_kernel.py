@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from cpsurf import kernel, optics
+from cpsurf import kernel, optics, quadrature
 from cpsurf.constants import C_LIGHT
 
 GOLD = optics.gold_plasma()
@@ -22,93 +23,97 @@ def _point(surface, xi, kp, kpp, phi):
 
 
 # Independent assembly of the premultiplied kernel from the polarization
-# overlaps and the first-order reflection block; a_exact must match it.
+# overlaps, the Fresnel amplitudes and the first-order reflection block;
+# a_exact must match it. It reads nothing of the KernelPoint: the decay
+# constants and reflection amplitudes come from optics.fresnel, eps from
+# the model, and the transmission amplitudes are built here.
 
 
-def polarization_overlaps(point):
+def _legs(surface, xi, kp, kpp):
+    """Fresnel sets of both legs, eps and the transmission amplitudes
+    t_te = 2 kappa / (kappa + kappa_t), t_tm = 2 sqrt(eps) kappa / (eps kappa + kappa_t)."""
+    eps = surface.eps(xi)
+    sqrt_eps = math.sqrt(eps)
+    legs = []
+    for k in (kp, kpp):
+        fs = optics.fresnel(surface, k, xi)
+        t_te = 2.0 * fs.kappa / (fs.kappa + fs.kappa_t)
+        t_tm = 2.0 * sqrt_eps * fs.kappa / (eps * fs.kappa + fs.kappa_t)
+        legs.append((fs, t_te, t_tm))
+    return eps, legs
+
+
+def polarization_overlaps(xi, kp, kpp, cos_d, sin_d, kappa_p, kappa_pp):
     """The four overlaps eps_hat^+_p(k') . eps_hat^-_p'(k'').
 
     TE.TE = C, TE.TM = c kappa'' S / xi, TM.TE = c kappa' S / xi,
     TM.TM = -(c^2/xi^2)(k' k'' + kappa' kappa'' C). These carry the raw
     c/xi factors that the premultiplied kernel cancels symbolically.
     """
-    c_xi = C_LIGHT / point.xi
-    kappa_p, kappa_pp = point.fres_p.kappa, point.fres_pp.kappa
+    c_xi = C_LIGHT / xi
     return {
-        "te_te": point.cos_dphi,
-        "te_tm": c_xi * kappa_pp * point.sin_dphi,
-        "tm_te": c_xi * kappa_p * point.sin_dphi,
-        "tm_tm": -(c_xi**2) * (point.kp * point.kpp + kappa_p * kappa_pp * point.cos_dphi),
+        "te_te": cos_d,
+        "te_tm": c_xi * kappa_pp * sin_d,
+        "tm_te": c_xi * kappa_p * sin_d,
+        "tm_tm": -(c_xi**2) * (kp * kpp + kappa_p * kappa_pp * cos_d),
     }
 
 
-def lambda_matrix(point):
+def lambda_matrix(eps, xi, kp, kpp, cos_d, sin_d, fs_p, fs_pp):
     """Non-specular polarization-mixing matrix, rows (TE, TM) out, columns in.
 
-    Entries (C = cos_dphi, S = sin_dphi, primes as in the point):
+    Entries (C = cos_d, S = sin_d, primes as in the legs):
 
       [TE,TE] = 2 kappa' C
       [TE,TM] = 2 kappa' S c kappa''_t / (sqrt(eps) xi)
       [TM,TE] = 2 S sqrt(eps) (xi/c) kappa' kappa'_t / d_tm
       [TM,TM] = -2 kappa' (eps k' k'' + kappa'_t kappa''_t C) / d_tm
 
-    In the specular limit (k'' = k', C = 1, S = 0) the diagonal reduces
-    to 2 kappa' exactly.
+    with d_tm = xi^2/c^2 - kappa'^2 (eps + 1). In the specular limit
+    (k'' = k', C = 1, S = 0) the diagonal reduces to 2 kappa' exactly.
     """
-    eps = point.eps
     sqrt_eps = math.sqrt(eps)
-    xi = point.xi
     c = C_LIGHT
-    kappa_p = point.fres_p.kappa
-    te_te = 2.0 * kappa_p * point.cos_dphi
-    te_tm = 2.0 * kappa_p * point.sin_dphi * c * point.fres_pp.kappa_t / (sqrt_eps * xi)
-    tm_te = (
-        2.0 * point.sin_dphi * sqrt_eps * (xi / c)
-        * kappa_p * point.fres_p.kappa_t / point.d_tm
-    )
-    tm_tm = (
-        -2.0 * kappa_p
-        * (eps * point.kp * point.kpp + point.fres_p.kappa_t * point.fres_pp.kappa_t * point.cos_dphi)
-        / point.d_tm
-    )
-    return np.array([[te_te, te_tm], [tm_te, tm_tm]], dtype=float)
+    kappa_p = fs_p.kappa
+    d_tm = (xi / c) ** 2 - kappa_p**2 * (eps + 1.0)
+    return {
+        "te_te": 2.0 * kappa_p * cos_d,
+        "te_tm": 2.0 * kappa_p * sin_d * c * fs_pp.kappa_t / (sqrt_eps * xi),
+        "tm_te": 2.0 * sin_d * sqrt_eps * (xi / c) * kappa_p * fs_p.kappa_t / d_tm,
+        "tm_tm": -2.0 * kappa_p * (eps * kp * kpp + fs_p.kappa_t * fs_pp.kappa_t * cos_d) / d_tm,
+    }
 
 
-def nonspecular_block(point):
-    """First-order reflection block R1[p', p''] = u_{p'p''} Lambda_{p'p''}.
+def nonspecular_block(legs, lam):
+    """First-order reflection block R1[p', p''] = u_{p'p''} Lambda_{p'p''},
+    u_{p p'} = r^p(k') t^{p'}(k'') / t^p(k').
 
     Diagonal limit: R1(k', k') = 2 kappa' r^p delta_{p p'}.
     """
-    lam = lambda_matrix(point)
-    u = kernel._u_factors(point)
-    return np.array(
-        [
-            [u["te_te"] * lam[0, 0], u["te_tm"] * lam[0, 1]],
-            [u["tm_te"] * lam[1, 0], u["tm_tm"] * lam[1, 1]],
-        ]
-    )
+    (fs_p, t_te_p, t_tm_p), (_, t_te_pp, t_tm_pp) = legs
+    return {
+        "te_te": fs_p.r_te * t_te_pp / t_te_p * lam["te_te"],
+        "te_tm": fs_p.r_te * t_tm_pp / t_te_p * lam["te_tm"],
+        "tm_te": fs_p.r_tm * t_te_pp / t_tm_p * lam["tm_te"],
+        "tm_tm": fs_p.r_tm * t_tm_pp / t_tm_p * lam["tm_tm"],
+    }
 
 
-def assemble_a_from_block(point, z_atom):
+def assemble_a_from_block(surface, xi, kp, kpp, cos_d, sin_d, z_atom):
     """Premultiplied kernel rebuilt from overlaps and the R1 block.
 
     (xi^2/c^2) e^{-(kappa'+kappa'')z_A} / (2 kappa'')
         sum_{p'p''} overlap_{p'p''} R1_{p'p''}
 
-    Slower than a_exact and not xi -> 0 safe.
+    Slower than a_exact and not xi -> 0 safe. Arrays broadcast.
     """
-    overlaps = polarization_overlaps(point)
-    r1 = nonspecular_block(point)
-    total = (
-        overlaps["te_te"] * r1[0, 0]
-        + overlaps["te_tm"] * r1[0, 1]
-        + overlaps["tm_te"] * r1[1, 0]
-        + overlaps["tm_tm"] * r1[1, 1]
-    )
-    xi_c2 = (point.xi / C_LIGHT) ** 2
-    kappa_p, kappa_pp = point.fres_p.kappa, point.fres_pp.kappa
-    envelope = math.exp(-(kappa_p + kappa_pp) * z_atom)
-    return xi_c2 * envelope / (2.0 * kappa_pp) * total
+    eps, legs = _legs(surface, xi, kp, kpp)
+    fs_p, fs_pp = legs[0][0], legs[1][0]
+    overlaps = polarization_overlaps(xi, kp, kpp, cos_d, sin_d, fs_p.kappa, fs_pp.kappa)
+    r1 = nonspecular_block(legs, lambda_matrix(eps, xi, kp, kpp, cos_d, sin_d, fs_p, fs_pp))
+    total = sum(overlaps[p] * r1[p] for p in ("te_te", "te_tm", "tm_te", "tm_tm"))
+    envelope = np.exp(-(fs_p.kappa + fs_pp.kappa) * z_atom)
+    return (xi / C_LIGHT) ** 2 * envelope / (2.0 * fs_pp.kappa) * total
 
 
 class TestKernelIdentities:
@@ -118,7 +123,9 @@ class TestKernelIdentities:
         for surface in (GOLD, SILICON):
             pt = _point(surface, xi, kp, kpp, phi)
             direct = kernel.a_exact(pt, za)
-            assembled = assemble_a_from_block(pt, za)
+            assembled = assemble_a_from_block(
+                surface, xi, kp, kpp, math.cos(phi), math.sin(phi), za
+            )
             if assembled != 0.0:
                 assert direct == pytest.approx(assembled, rel=1e-10)
 
@@ -167,6 +174,97 @@ class TestKernelIdentities:
         assert math.isfinite(kernel.a_perfect(_point(MIRROR, xi, kp, kpp, phi), za))
 
 
+class TestBlockAmplitudes:
+    # The transmission amplitudes exist only in the independent assembly;
+    # these pin the ones it builds.
+    def test_vacuum_is_transparent(self):
+        _, legs = _legs(optics.DrudeLorentz(1e15, 1.0), 3e15, 2e6, 2e6)
+        for fs, t_te, t_tm in legs:
+            assert fs.r_te == 0.0 and fs.r_tm == 0.0
+            assert t_te == 1.0 and t_tm == 1.0
+
+    @given(k=st.floats(min_value=1.0, max_value=1e8), xi=_XI)
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_te_transmission_bounds(self, k, xi):
+        for surface in (GOLD, SILICON):
+            _, legs = _legs(surface, xi, k, k)
+            assert 0.0 < legs[0][1] <= 1.0
+
+
+# A k' column near k' = k (delta = |k' - k| / sqrt(k' k) down to 1e-7)
+# against the angle nodes, through the production angular geometry.
+_Z_GRID = 1.05e-6
+_K_GRID = 3.0 / _Z_GRID
+
+
+def _production_grid():
+    kp = _K_GRID * (1.0 + np.array([-1e-2, -1e-4, -1e-7, 1e-7, 1e-4, 1e-2]))
+    kp_col, kpp, cos_d, sin_d, _ = quadrature._angular_geometry(
+        kp, _K_GRID, np.linspace(0.0, np.pi, 65)
+    )
+    return kp_col, kpp, cos_d, sin_d
+
+
+class TestProductionGrid:
+    @pytest.mark.parametrize("surface", [SILICON, GOLD], ids=["silicon", "gold"])
+    @pytest.mark.parametrize("xi", [1e12, 3e14, 5e15, 1e17])
+    def test_exact_matches_block_assembly_on_grid(self, surface, xi):
+        kp_col, kpp, cos_d, sin_d = _production_grid()
+        direct = kernel.a_exact(kernel.kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d), _Z_GRID)
+        assembled = assemble_a_from_block(surface, xi, kp_col, kpp, cos_d, sin_d, _Z_GRID)
+        assert direct.shape == kpp.shape
+        assert np.all(assembled != 0.0)
+        np.testing.assert_allclose(direct, assembled, rtol=1e-10, atol=0.0)
+
+    def test_vacuum_gives_zero(self):
+        kp_col, kpp, cos_d, sin_d = _production_grid()
+        for xi in (1e12, 3e14, 5e15):
+            point = kernel.kernel_point(
+                optics.DrudeLorentz(1e16, 1.0), xi, kp_col, kpp, cos_d, sin_d
+            )
+            assert np.all(kernel.a_exact(point, _Z_GRID) == 0.0)
+
+    def test_linear_in_eps_minus_one_near_vacuum(self):
+        # A is first order in eps - 1: A / (eps - 1) stays finite and tends
+        # to one limit, so 1e-4 and 1e-8 agree to O(1e-4). A kappa' - kappa'_t
+        # taken as a difference would lose about 1e-16 kappa'^2 / (eps - 1)
+        # (xi/c)^2 of it here.
+        kp_col, kpp, cos_d, sin_d = _production_grid()
+        xi = 1e14
+        ratios = []
+        for d in (1e-4, 1e-8):
+            surface = optics.DrudeLorentz(1e16, 1.0 + d)
+            point = kernel.kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d)
+            ratios.append(kernel.a_exact(point, _Z_GRID) / (surface.eps(xi) - 1.0))
+        assert np.all(np.isfinite(ratios)) and np.all(ratios[1] != 0.0)
+        np.testing.assert_allclose(ratios[0], ratios[1], rtol=5e-4)
+
+
+class TestSaturatedPlasma:
+    # At xi = 1e-140 and 1e-160 the plasma eps = 1 + omega_p^2/xi^2
+    # overflows to inf. The kernel takes 1/eps = 0 there and returns the
+    # finite static plasma limit, which is the ideal mirror's static kernel
+    # -k'k''(1 + C) e^{-(k' + k'')z_A}, continuous with a finite huge eps.
+    @pytest.mark.parametrize("xi", [1e-140, 1e-160])
+    def test_finite_plasma_limit(self, xi):
+        kp, kpp, cos_d, za = 2e6, 1.1e6, 0.3, 1e-6
+        sin_d = math.sqrt(1.0 - cos_d**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert math.isinf(GOLD.eps(xi))
+                point = kernel.kernel_point(GOLD, xi, kp, kpp, cos_d, sin_d)
+            assert point.inv_eps == 0.0
+            saturated = kernel.a_exact(point, za)
+        finite = kernel.a_exact(kernel.kernel_point(GOLD, 1e-100, kp, kpp, cos_d, sin_d), za)
+        static = -kp * kpp * (1.0 + cos_d) * math.exp(-(kp + kpp) * za)
+        assert math.isfinite(saturated)
+        assert saturated == pytest.approx(finite, rel=1e-12)
+        assert saturated == pytest.approx(static, rel=1e-12)
+        mirror = kernel.a_perfect(kernel.kernel_point(MIRROR, xi, kp, kpp, cos_d, sin_d), za)
+        assert saturated == pytest.approx(mirror, rel=1e-12)
+
+
 class TestPerfectLimit:
     def test_plasma_ramp_approaches_mirror(self):
         xi, kp, kpp, phi, za = 3e14, 2e6, 1.1e6, 1.0, 1e-6
@@ -206,14 +304,14 @@ class TestPerfectLimit:
         full = kernel.kernel_point(
             surface, xi, np.broadcast_to(kp, kpp.shape), kpp, cos_d, sin_d
         )
-        assert column.fres_p.kappa.shape == (3, 1)
+        assert column.kappa_p.shape == (3, 1)
         a = kernel.a_perfect if surface.is_perfect else kernel.a_exact
         np.testing.assert_array_equal(a(column, za), a(full, za))
 
 
 class TestKernelPointValidation:
-    # kernel_point makes no check of its own: its two fresnel calls reject
-    # these.
+    # kernel_point makes no check of its own: its two optics.decay_constants
+    # calls reject these.
     @pytest.mark.parametrize("surface", [GOLD, SILICON, MIRROR], ids=["gold", "silicon", "mirror"])
     @pytest.mark.parametrize(
         "xi, kp, kpp, message",

@@ -71,7 +71,7 @@ class TestFresnel:
     def test_perfect_conductor_values(self):
         fs = optics.fresnel(optics.PerfectConductor(), 2e6, 3e15)
         assert fs.r_te == -1.0 and fs.r_tm == 1.0
-        assert fs.t_te == 0.0 and fs.t_tm == 0.0
+        assert math.isinf(fs.kappa_t)
         assert fs.kappa == pytest.approx(math.hypot(2e6, 3e15 / C_LIGHT), rel=1e-15)
 
     def test_perfect_conductor_arrays_are_read_only_constants(self):
@@ -82,8 +82,6 @@ class TestFresnel:
         old = {
             "r_te": np.full(k.shape, -1.0),
             "r_tm": np.full(k.shape, 1.0),
-            "t_te": np.zeros(k.shape),
-            "t_tm": np.zeros(k.shape),
             "kappa_t": np.full(k.shape, np.inf),
         }
         for name, want in old.items():
@@ -123,7 +121,6 @@ class TestFresnel:
     def test_vacuum_is_transparent(self):
         fs = optics.fresnel(optics.DrudeLorentz(1e15, 1.0), 2e6, 3e15)
         assert fs.r_te == 0.0 and fs.r_tm == 0.0
-        assert fs.t_te == 1.0 and fs.t_tm == 1.0
 
     def test_normal_incidence_reduction(self):
         # k = 0: r_te = (1 - sqrt eps)/(1 + sqrt eps), r_tm = -r_te.
@@ -142,7 +139,7 @@ class TestFresnel:
         with np.errstate(over="ignore"):
             assert math.isinf(gold.eps(1e-160))
             fs = optics.fresnel(gold, k, 1e-160)
-        assert fs.r_tm == 1.0 and fs.t_tm == 0.0
+        assert fs.r_tm == 1.0
         kappa_t = math.hypot(k, GOLD_OMEGA_P / C_LIGHT)
         assert fs.r_te == pytest.approx((k - kappa_t) / (k + kappa_t), rel=1e-13)
         assert -1.0 < fs.r_te < 0.0
@@ -157,7 +154,6 @@ class TestFresnel:
             fs = optics.fresnel(model, k, xi)
             assert -1.0 <= fs.r_te <= 0.0
             assert 0.0 <= fs.r_tm <= 1.0
-            assert 0.0 < fs.t_te <= 1.0
             assert fs.kappa_t >= fs.kappa > 0.0
 
     def test_array_k(self):
@@ -188,7 +184,7 @@ class TestFresnel:
         k = 10.0 ** rng.uniform(2.0, 9.0, (xi.size, 6))
         column = optics.fresnel(model, k, xi[:, None])
         row = optics.fresnel(model, k[:, 0], xi)
-        for name in ("r_te", "r_tm", "t_te", "t_tm", "kappa", "kappa_t"):
+        for name in ("r_te", "r_tm", "kappa", "kappa_t"):
             got = getattr(column, name)
             assert np.shape(got) == k.shape
             assert np.shape(getattr(row, name)) == xi.shape
@@ -210,7 +206,6 @@ class TestFresnel:
         assert fs.kappa == kappa and fs.kappa_t == kappa_t
         assert fs.r_te == (kappa - kappa_t) / (kappa + kappa_t)
         assert fs.r_tm == (eps * kappa - kappa_t) / (eps * kappa + kappa_t)
-        assert fs.t_tm == 2.0 * math.sqrt(eps) * kappa / (eps * kappa + kappa_t)
 
     def test_array_xi_rejects_negative_element(self):
         with pytest.raises(ValueError):
