@@ -60,6 +60,7 @@ from .quadrature import (
     g_evaluator,
     plane_force,
     plane_potential,
+    plane_potential_and_force,
     response_g,
     rho,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "pfa_first_order",
     "plane_force",
     "plane_potential",
+    "plane_potential_and_force",
     "polarizability",
     "rb87_bec_probe",
     "response_g",

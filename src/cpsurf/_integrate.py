@@ -12,7 +12,12 @@ Two building blocks:
   makes one integrand call that covers the panels of every unconverged
   row (the initial split of all rows, then both halves of each row's
   bisection), so an integrand that batches its own work sees a few large
-  arrays rather than many small ones. ``adaptive_gauss`` is the one-row case.
+  arrays rather than many small ones. The panels' bounds, values and
+  errors are arrays over (rows, panels), so a round's bookkeeping is a
+  few numpy calls whatever the number of rows. An integrand may return
+  several components at once (a leading axis); a row then runs until
+  every component meets its own tolerance. ``adaptive_gauss`` is the
+  one-row case.
 * ``cc_batch`` -- nested Clenshaw-Curtis with node doubling, applied to a
   whole batch of integrands at once (the angular integral for every k'
   node of a panel in one numpy call per doubling). The first call takes
@@ -21,21 +26,23 @@ Two building blocks:
   give, guarded by the change since the rule of half the order, and
   stops as soon as that estimate meets the tolerance.
 
-Both are deterministic: fixed node sets, worst-first splitting with a
-stable tie-break and correctly rounded (``math.fsum``) totals. A row's
-panels, splits and totals never depend on the other rows, so it gets the
-same bits in lock-step as integrated alone.
+Both are deterministic: fixed node sets, worst-first splitting (the
+bisection rule of QUADPACK, Piessens et al., 1983) with ties going to
+the earliest-made panel, and row totals summed column by column in the
+order the panels were made. A row's panels, splits and totals never
+depend on the other rows, so it gets the same bits in lock-step as
+integrated alone.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+
+_TINY = float(np.finfo(float).tiny)
 
 
 class ConvergenceError(RuntimeError):
@@ -141,13 +148,16 @@ def _panel_estimates(
     los,
     his,
     n_high: int,
-) -> list[tuple[float, float]]:
-    """(value, abs error estimate) of each panel [los[i], his[i]].
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, abs error estimates) of the panels [los, his].
 
-    One call of ``f`` receives every panel's n_high Gauss-Kronrod nodes
-    (ascending) as a flat array. The value is the Kronrod sum and the
-    error estimate its distance from the embedded Gauss sum. Each panel
-    is reduced by its own dot product (a stack of 1 x n products, which
+    ``los`` and ``his`` share a shape P. One call of ``f`` receives the
+    n_high Gauss-Kronrod nodes (ascending) of every panel, shape
+    P + (n_high,), and returns the integrand there with that shape or
+    with a leading component axis, (c,) + P + (n_high,); the results
+    have shape P or (c,) + P. The value is the Kronrod sum and the error
+    estimate its distance from the embedded Gauss sum. Each panel is
+    reduced by its own dot product (a stack of 1 x n products, which
     numpy hands to the same BLAS dot as ``np.dot``), so a pointwise
     integrand gives the same bits as evaluating each rule of each panel
     on its own. Raises FloatingPointError if a panel's value or error
@@ -158,16 +168,22 @@ def _panel_estimates(
     mids = 0.5 * (los + his)
     halves = 0.5 * (his - los)
     nodes, w_k, w_g = _gauss_kronrod(n_high)
-    x = mids[:, None] + halves[:, None] * nodes
-    fx = np.reshape(f(x.ravel()), x.shape)[:, None, :]
-    i_k = halves * np.matmul(fx, w_k)[:, 0, 0]
-    i_g = halves * np.matmul(np.ascontiguousarray(fx[..., 1::2]), w_g)[:, 0, 0]
+    fx = np.asarray(f(mids[..., None] + halves[..., None] * nodes))[..., None, :]
+    i_k = halves * np.matmul(fx, w_k)[..., 0, 0]
+    i_g = halves * np.matmul(np.ascontiguousarray(fx[..., 1::2]), w_g)[..., 0, 0]
     with np.errstate(invalid="ignore"):
         err = np.abs(i_k - i_g)
     if not np.all(np.isfinite(err)):
         # nan or inf in either sum: bisecting cannot recover, so stop now.
         raise FloatingPointError("integrand is not finite on a quadrature panel")
-    return list(zip(i_k.tolist(), err.tolist()))
+    return i_k, err
+
+
+def _row_totals(parts: np.ndarray) -> np.ndarray:
+    # A running sum over the columns in the order the panels were made:
+    # it depends only on the row's own panels, and split panels' zeros
+    # add exactly.
+    return np.cumsum(parts, axis=-1)[..., -1]
 
 
 def adaptive_gauss_rows(
@@ -182,15 +198,22 @@ def adaptive_gauss_rows(
     """Integrate many independent rows over [a[r], b[r]] in lock-step.
 
     ``a`` and ``b`` are scalars or per-row 1-D arrays (broadcast against
-    each other); returns (values, abs error estimates), one per row. Each
-    round calls ``f(x, rows)`` once: ``x`` has one line per row still
-    working, holding the abscissae of that row's new panels, and ``rows``
-    is the int column of those rows' indices, so per-row data gathered as
-    ``data[rows]`` broadcasts against ``x``. ``f`` returns the integrand
-    at ``x`` (same shape). Every row keeps its own panel heap, worst-first
-    tie-break, ``fsum`` totals and ``max_panels`` budget, so its result
-    does not depend on the other rows. Raises ConvergenceError, with
-    ``row`` set, for the lowest-index row that runs out of panels.
+    each other). Each round calls ``f(x, rows)`` once: ``x`` has one line
+    per row still working, holding the abscissae of that row's new
+    panels, and ``rows`` is the int column of those rows' indices, so
+    per-row data gathered as ``data[rows]`` broadcasts against ``x``.
+    ``f`` returns the integrand at ``x``, with the shape of ``x`` or with
+    a leading component axis, (c,) + x.shape. Returns (values, abs error
+    estimates), each of shape (rows,), or (c, rows) with components.
+
+    A row stops once every component's summed error estimate is at most
+    rel_tol times the magnitude of that component's total. Until then it
+    bisects the panel whose error is largest relative to its own
+    component's target; with one component that is the largest error,
+    and ties go to the earliest-made panel. Every row keeps its own
+    panels, totals and ``max_panels`` budget, so its result does not
+    depend on the other rows. Raises ConvergenceError, with ``row`` set,
+    for the lowest-index row that runs out of panels.
     """
     if np.ndim(a) > 1 or np.ndim(b) > 1:
         raise ValueError("interval bounds must be scalars or 1-D arrays")
@@ -202,64 +225,79 @@ def adaptive_gauss_rows(
     # np.linspace rule, on every row at once).
     edges = np.arange(initial_panels + 1.0) * ((b - a) / initial_panels) + a
     edges[:, -1:] = b
-    n_rows = edges.shape[0]
-    counter = itertools.count()
 
-    def estimate(owners: list[int], los, his, per_row: int):
-        # owners lists each panel's row; every row in a round owns the
-        # same number of consecutive panels, so the abscissae fold into
-        # one line per row.
-        rows = np.array(owners[::per_row])[:, None]
-
+    def estimate(ids: np.ndarray, los: np.ndarray, his: np.ndarray):
+        # los, his: (working rows, new panels per row); the abscissae of a
+        # row's new panels fold into one line of x. Returns (c, rows,
+        # panels) arrays, c = 1 for an integrand without components.
         def f_lines(x: np.ndarray) -> np.ndarray:
-            return f(x.reshape(rows.shape[0], -1), rows)
+            fx = np.asarray(f(x.reshape(x.shape[0], -1), ids[:, None]))
+            return fx.reshape(fx.shape[:-2] + x.shape)
 
-        return _panel_estimates(f_lines, los, his, n_high)
+        vals, errs = _panel_estimates(f_lines, los, his, n_high)
+        return vals.ndim > los.ndim, vals.reshape(-1, *los.shape), errs.reshape(-1, *los.shape)
 
-    owners = [r for r in range(n_rows) for _ in range(initial_panels)]
-    los, his = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    heaps: list[list] = [[] for _ in range(n_rows)]
-    for r, lo, hi, (val, err) in zip(
-        owners, los.tolist(), his.tolist(), estimate(owners, los, his, initial_panels)
-    ):
-        heaps[r].append((-err, next(counter), lo, hi, val, err))
-    for heap in heaps:
-        heapq.heapify(heap)
-
-    values = np.empty(n_rows)
-    errors = np.empty(n_rows)
-    active = range(n_rows)
-    n_panels = initial_panels  # every working row has split once per round
+    # The working rows' panels, one column per panel in the order the
+    # panels were made; a split panel's value and error become 0 and its
+    # halves go on as two new columns. ids maps a working row to its
+    # index. Every working row splits once per round, so all share the
+    # column count.
+    ids = np.arange(edges.shape[0])
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    has_components, val, err = estimate(ids, lo, hi)
+    n_comp = val.shape[0]
+    values = np.empty((n_comp, ids.size))
+    errors = np.empty((n_comp, ids.size))
+    n_panels = initial_panels
     while True:
-        owners, los, his, working = [], [], [], []
-        for r in active:
-            heap = heaps[r]
-            total = math.fsum(item[4] for item in heap)
-            total_err = math.fsum(item[5] for item in heap)
-            target = rel_tol * abs(total)
-            if total_err <= target:
-                values[r], errors[r] = total, total_err
-                continue
-            if n_panels >= max_panels:
-                raise ConvergenceError(
-                    f"quadrature did not converge: {n_panels} panels, "
-                    f"abs err estimate {total_err:.3e} vs target {target:.3e}",
-                    total,
-                    total_err,
-                    row=r,
-                )
-            _, _, lo, hi, _, _ = heapq.heappop(heap)
-            mid = 0.5 * (lo + hi)
-            owners += (r, r)
-            los += (lo, mid)
-            his += (mid, hi)
-            working.append(r)
-        if not working:
-            return values, errors
-        for r, lo, hi, (val, err) in zip(owners, los, his, estimate(owners, los, his, 2)):
-            heapq.heappush(heaps[r], (-err, next(counter), lo, hi, val, err))
-        active = working
+        total = _row_totals(val)
+        total_err = _row_totals(err)
+        target = rel_tol * np.abs(total)
+        met = total_err <= target
+        done = met.all(axis=0)
+        values[:, ids[done]] = total[:, done]
+        errors[:, ids[done]] = total_err[:, done]
+        if done.all():
+            break
+        if n_panels >= max_panels:
+            # ids ascend, so the first working row has the lowest index.
+            r = int(np.argmin(done))
+            c = int(np.argmin(met[:, r]))
+            raise ConvergenceError(
+                f"quadrature did not converge: {n_panels} panels, abs err "
+                f"estimate {total_err[c, r]:.3e} vs target {target[c, r]:.3e}",
+                float(total[c, r]),
+                float(total_err[c, r]),
+                row=int(ids[r]),
+            )
+        if done.any():
+            work = ~done
+            ids, lo, hi = ids[work], lo[work], hi[work]
+            val, err, target = val[:, work], err[:, work], target[:, work]
+        if n_comp == 1:
+            worst = err[0]
+        else:
+            # Against a zero target every error counts as huge (inf ties
+            # go to the earliest panel).
+            with np.errstate(over="ignore"):
+                worst = (err / np.maximum(target, _TINY)[..., None]).max(axis=0)
+        rows = np.arange(ids.size)
+        split = np.argmax(worst, axis=1)
+        left, right = lo[rows, split], hi[rows, split]
+        mid = 0.5 * (left + right)
+        val[:, rows, split] = 0.0
+        err[:, rows, split] = 0.0
+        los = np.stack((left, mid), axis=1)
+        his = np.stack((mid, right), axis=1)
+        _, new_val, new_err = estimate(ids, los, his)
+        lo = np.concatenate((lo, los), axis=1)
+        hi = np.concatenate((hi, his), axis=1)
+        val = np.concatenate((val, new_val), axis=2)
+        err = np.concatenate((err, new_err), axis=2)
         n_panels += 1
+    if has_components:
+        return values, errors
+    return values[0], errors[0]
 
 
 def adaptive_gauss(
@@ -270,23 +308,26 @@ def adaptive_gauss(
     max_panels: int = 4096,
     n_high: int = 17,
     initial_panels: int = 4,
-) -> tuple[float, float]:
+):
     """Integrate ``f`` over [a, b]; returns (value, abs error estimate).
 
     The one-row case of ``adaptive_gauss_rows``: ``f`` must accept a flat
-    numpy array of abscissae and return the integrand at each; it is
-    called once for the initial panels and once per bisection. Raises
-    ConvergenceError if the panel budget runs out first.
+    numpy array of abscissae and return the integrand at each, or a
+    (c, x.size) array of c components, in which case the value and the
+    error are (c,) arrays; it is called once for the initial panels and
+    once per bisection. Raises ConvergenceError if the panel budget runs
+    out first.
     """
+
+    def f_row(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        fx = np.asarray(f(x.ravel()))
+        return fx.reshape(fx.shape[:-1] + x.shape)
+
     values, errors = adaptive_gauss_rows(
-        lambda x, rows: np.reshape(f(x.ravel()), x.shape),
-        a,
-        b,
-        rel_tol,
-        max_panels,
-        n_high,
-        initial_panels,
+        f_row, a, b, rel_tol, max_panels, n_high, initial_panels
     )
+    if values.ndim == 2:
+        return values[:, 0], errors[:, 0]
     return float(values[0]), float(errors[0])
 
 
@@ -331,7 +372,6 @@ def _cc_tail(n_half: int) -> tuple[np.ndarray, ...]:
 # shrinks the difference of two rules (Piessens et al., 1983).
 _CC_ROUNDING = 50.0 * float(np.finfo(float).eps)
 _CC_GUARD_SCALE = 200.0
-_TINY = float(np.finfo(float).tiny)
 
 
 def _cc_estimate(

@@ -67,7 +67,8 @@ from .quadrature import (
     QuadratureSettings,
     g_evaluator,
     plane_force,
-    plane_potential,
+    plane_potential,  # noqa: F401  (bench/tracing.py patches cli.plane_potential; ROADMAP item 3)
+    plane_potential_and_force,
     ratio,
 )
 
@@ -410,8 +411,7 @@ def _eta_columns(sweep: _Sweep, z: float, f: IntegralResult) -> list[float]:
 
 def cmd_plane(args) -> int:
     def row(sweep, z):
-        u = plane_potential(sweep.atom, sweep.surface, z, sweep.settings)
-        f = plane_force(sweep.atom, sweep.surface, z, sweep.settings)
+        u, f = plane_potential_and_force(sweep.atom, sweep.surface, z, sweep.settings)
         return [z, u.value, u.error, f.value, f.error, *_eta_columns(sweep, z, f)]
 
     columns = ["z_A_m", "U0_J", "U0_err_J", "F0_N", "F0_err_N", "eta_F", "eta_F_err"]

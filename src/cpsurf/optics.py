@@ -244,6 +244,8 @@ class TabulatedPermittivity:
         self.eps_samples = eps
         self.extrapolate_low = extrapolate_low
         self.extrapolate_high = extrapolate_high
+        # eps - 1 = a_low / xi^2 on the inverse-square low tail.
+        self._a_low = (eps[0] - 1.0) * xi[0] ** 2
         self._interp = _pchip(np.log(xi), np.log(eps - 1.0))
 
     def eps(self, xi):
@@ -264,9 +266,9 @@ class TabulatedPermittivity:
             if self.extrapolate_low == "constant":
                 out[below] = self.eps_samples[0]
             else:
-                a_low = (self.eps_samples[0] - 1.0) * lo**2
-                with np.errstate(divide="ignore"):
-                    out[below] = 1.0 + a_low / xi[below] ** 2
+                # eps overflows to inf at tiny xi; eps_times_xi2 stays finite.
+                with np.errstate(divide="ignore", over="ignore"):
+                    out[below] = 1.0 + self._a_low / xi[below] ** 2
         if np.any(above):
             if self.extrapolate_high == "strict":
                 raise ValueError(
@@ -281,7 +283,11 @@ class TabulatedPermittivity:
 
     def eps_times_xi2(self, xi):
         xi = np.asarray(xi, dtype=float)
-        out = xi**2 * self.eps(xi)
+        xi2 = xi**2
+        out = xi2 * self.eps(xi)
+        if self.extrapolate_low == "inverse_square":
+            # xi^2 + a_low stays finite at tiny xi, where eps overflows.
+            out = np.where(xi < self.xi[0], xi2 + self._a_low, out)
         return out if out.ndim else float(out)
 
 
@@ -498,8 +504,9 @@ def kramers_kronig_imaginary_axis(data: RealAxisOpticalData, xi) -> np.ndarray:
     (``_segment_integrals``); the Drude continuation below the data and
     the 1/omega^3 tail above it are closed forms too. The result is the
     exact integral of the interpolant up to rounding, with no tolerance.
-    Each xi is one ``math.fsum`` over its own segments, so its value has
-    the same bits whatever other xi come in the same call.
+    Each xi sums its own segment array with one ``np.sum``, then adds the
+    Drude and tail segments, so its value has the same bits whatever
+    other xi come in the same call.
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     if not np.all(np.isfinite(xi_arr) & (xi_arr >= 0.0)):
@@ -519,11 +526,11 @@ def kramers_kronig_imaginary_axis(data: RealAxisOpticalData, xi) -> np.ndarray:
     tail_eps = float(data.eps_imag[-1])
     out = np.empty_like(xi_arr)
     for i, x in enumerate(xi_arr.tolist()):
-        parts = _segment_integrals(lo, h, a, moments, x).tolist()
+        total = float(np.sum(_segment_integrals(lo, h, a, moments, x)))
         if data.drude_omega_p is not None:
-            parts.append(_drude_segment(omega[0], data.drude_omega_p, data.drude_gamma, x))
-        parts.append(_tail_segment(omega[-1], tail_eps, x))
-        out[i] = 1.0 + (2.0 / math.pi) * math.fsum(parts)
+            total += _drude_segment(omega[0], data.drude_omega_p, data.drude_gamma, x)
+        total += _tail_segment(omega[-1], tail_eps, x)
+        out[i] = 1.0 + (2.0 / math.pi) * total
     return out if np.ndim(xi) else float(out[0])
 
 

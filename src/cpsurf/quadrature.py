@@ -1,20 +1,24 @@
 """Production integrals: plane potential/force and the response g(k, z_A).
 
-All three integrals run over imaginary frequency xi and transverse
+The integrals run over imaginary frequency xi and transverse
 wavenumbers, mapped from [0, inf) to the unit interval with the natural
 scales of the problem (xi_0 = c / z_A, k_0 = 1 / z_A):
 
     xi = xi_0 u / (1 - u),    k = k_0 v / (1 - v).
 
-All three run on one xi x k' skeleton (_xi_kprime). The outer (frequency) integral
-is adaptive Gauss-Kronrod (G8/K17: 17 integrand points per panel, the
-error estimate from the embedded 8-point Gauss rule), each step
-evaluating every xi node of its panels in one call. The k' integrals of
-all xi nodes of an outer step run in lock-step as rows of one adaptive
-of the same rule, each round handing the new k' nodes of every working
-row to a row integrand in one call. The plane's integrand is one Fresnel
-call (a xi column against the k lines). The response's integrand runs,
-per row, the angular integral of all its k' nodes at once by nested
+The plane pass and the response run on one xi x k' skeleton
+(_xi_kprime). The outer (frequency) integral is adaptive Gauss-Kronrod
+(G8/K17: 17 integrand points per panel, the error estimate from the
+embedded 8-point Gauss rule), each step evaluating every xi node of its
+panels in one call. The k' integrals of all xi nodes of an outer step
+run in lock-step as rows of one adaptive of the same rule, each round
+handing the new k' nodes of every working row to a row integrand in one
+call. U0 and F0 differ only in the k' weight, so the plane pass
+integrates both as two components of one integrand: one Fresnel call
+per round (a xi column against the k lines) serves both, and every
+layer refines until both meet the tolerance; plane_potential and
+plane_force return its halves. The response's integrand runs, per row,
+the angular integral of all its k' nodes at once by nested
 Clenshaw-Curtis. Near k' = k the wavenumber k'' = |k' - k| nearly
 vanishes at phi = 0, a near-singularity at a distance of about
 delta = |k' - k| / sqrt(k' k) from the real phi axis, so each k' node
@@ -66,6 +70,7 @@ __all__ = [
     "ConvergenceError",
     "plane_potential",
     "plane_force",
+    "plane_potential_and_force",
     "response_g",
     "rho",
     "ratio",
@@ -143,14 +148,17 @@ def _node(nodes, row: int) -> float | None:
     return float(nodes if np.ndim(nodes) == 0 else np.ravel(nodes)[row])
 
 
-def _xi_kprime(atom, z_atom, settings, f_row) -> tuple[float, float]:
+def _xi_kprime(atom, z_atom, settings, f_row):
     """(value, abs error) of the integral over xi of alpha(i xi) times the
     integral over k' of f_row, both on [0, inf).
 
     The k' integrals of all xi nodes of an outer step run in lock-step as
     rows of one adaptive. Each round calls f_row(xi, k, jac) once: k holds
     one line of k' nodes per working row, jac = dk/dv matches it, and xi
-    is the column of those rows' frequencies.
+    is the column of those rows' frequencies. f_row returns the shape of
+    k, or a leading component axis (c,) + k.shape; then the value and the
+    error are (c,) arrays, and every component of every layer meets its
+    own tolerance.
     """
     if not z_atom > 0.0:
         raise ValueError("z_atom must be positive")
@@ -193,19 +201,38 @@ def _result(pref: float, val_err: tuple[float, float], settings) -> IntegralResu
     return IntegralResult(value, pref * err + _REPORT_PAD * settings.rel_tol * abs(value))
 
 
-def _plane_integral(atom, surface, z_atom, settings, force: bool) -> IntegralResult:
+def plane_potential_and_force(
+    atom, surface, z_atom: float, settings: QuadratureSettings | None = None
+) -> tuple[IntegralResult, IntegralResult]:
+    """Flat-surface ground-state potential U0(z_A) in J and normal force
+    F0(z_A) = -dU0/dz_A in N (both negative), from one xi x k' pass.
+
+    The two integrands differ only in the k' weight, k / (2 kappa) for U0
+    and k for F0, so each round's one fresnel call serves both, and every
+    panel is refined until both meet the tolerance.
+    """
+    settings = settings or QuadratureSettings()
+
     def f_row(xi: np.ndarray, k: np.ndarray, jac: np.ndarray) -> np.ndarray:
         # One fresnel call per round: the xi column against the k lines.
         fs = fresnel(surface, k, xi)
         xi_c2 = np.float_power(xi / C_LIGHT, 2)
-        weight = k if force else k / (2.0 * fs.kappa)
         # Q = (xi^2/c^2)(r_TE - r_TM) - 2 k^2 r_TM; reduces to
         # -2 kappa^2 for the ideal mirror. Negative for any passive
         # surface.
         moment = xi_c2 * (fs.r_te - fs.r_tm) - 2.0 * k**2 * fs.r_tm
-        return jac * weight * np.exp(-2.0 * fs.kappa * z_atom) * moment
+        common = jac * np.exp(-2.0 * fs.kappa * z_atom) * moment
+        # k / (2 kappa) with kappa = hypot(xi/c, k), which stays finite
+        # where kappa^2, and so fs.kappa, underflows to 0.
+        return np.stack((common * (0.5 * k / np.hypot(xi / C_LIGHT, k)), common * k))
 
-    return _result(_PREF_PLANE, _xi_kprime(atom, z_atom, settings, f_row), settings)
+    values, errors = _xi_kprime(atom, z_atom, settings, f_row)
+    u0, f0 = (_result(_PREF_PLANE, ve, settings) for ve in zip(values.tolist(), errors.tolist()))
+    return u0, f0
+
+
+def _plane_integral(atom, surface, z_atom, settings, force: bool) -> IntegralResult:
+    return plane_potential_and_force(atom, surface, z_atom, settings)[force]
 
 
 def plane_potential(

@@ -1,4 +1,3 @@
-import heapq
 import math
 
 import numpy as np
@@ -25,6 +24,40 @@ class Recorder:
     def __call__(self, x):
         self.sizes.append(len(x))
         return self.fn(x)
+
+
+class EstimateLog:
+    """Records the panels [los, his] of every estimate the engine makes."""
+
+    def __init__(self, monkeypatch):
+        self.panels = []
+        estimate = _integrate._panel_estimates
+
+        def spy(f, los, his, n_high):
+            self.panels.append((np.array(los).tolist(), np.array(his).tolist()))
+            return estimate(f, los, his, n_high)
+
+        monkeypatch.setattr(_integrate, "_panel_estimates", spy)
+
+    def split_parents(self, rows_per_call):
+        """The panels split in each call after the first, as (row, lo, hi).
+
+        Line i of a call belongs to row rows_per_call[call][i]. Every later
+        line must hold the two halves of one live panel of its row: a
+        panel made earlier on that row and not split before."""
+        (los, his), *later = self.panels
+        live = {
+            row: set(zip(lo, hi)) for row, lo, hi in zip(rows_per_call[0], los, his)
+        }
+        parents = []
+        for (los, his), rows in zip(later, rows_per_call[1:]):
+            assert len(los) == len(rows)
+            for row, (lo, mid), (mid_again, hi) in zip(rows, los, his):
+                assert mid == mid_again == 0.5 * (lo + hi)
+                live[row].remove((lo, hi))
+                live[row] |= {(lo, mid), (mid, hi)}
+                parents.append((row, lo, hi))
+        return parents
 
 
 def reference_estimate(f, a, b, n_high=17):
@@ -129,16 +162,10 @@ class TestGaussKronrodRule:
 class TestAdaptiveGauss:
     @pytest.mark.parametrize("initial", [4, 7])
     def test_one_call_per_step(self, monkeypatch, initial):
-        splits = []
-        pop = heapq.heappop
-
-        def counting_pop(heap):
-            splits.append(1)
-            return pop(heap)
-
-        monkeypatch.setattr(_integrate.heapq, "heappop", counting_pop)
+        log = EstimateLog(monkeypatch)
         f = Recorder(lambda x: 1.0 / (x + 0.01))
         val, _ = adaptive_gauss(f, 0.0, 1.0, 1e-12, initial_panels=initial)
+        splits = log.split_parents([[0]] * len(log.panels))
         assert val == pytest.approx(math.log(101.0), rel=1e-11)
         assert len(splits) > 0
         assert len(f.sizes) == 1 + len(splits)
@@ -161,8 +188,49 @@ class TestAdaptiveGauss:
         def f(x):
             return np.exp(-3.0 * x) * np.sin(7.0 * x) + np.sqrt(x)
 
-        batched = _integrate._panel_estimates(f, los, his, 17)
+        values, errors = _integrate._panel_estimates(f, los, his, 17)
+        batched = list(zip(values.tolist(), errors.tolist()))
         assert batched == [reference_estimate(f, a, b) for a, b in zip(los, his)]
+
+    def test_equal_errors_split_the_earliest_made_panel(self, monkeypatch):
+        # Every panel sees the same 17 samples, so panels of one width tie
+        # bit for bit on value and error, and a half has exactly half its
+        # parent's error. The four initial panels split in the order they
+        # were made, then the halves of the first two, in theirs.
+        pattern = np.random.default_rng(3).uniform(size=NODES_PER_PANEL)
+        log = EstimateLog(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            adaptive_gauss(
+                lambda x: np.tile(pattern, x.size // NODES_PER_PANEL),
+                0.0, 4.0, 1e-12, max_panels=12,
+            )
+        parents = log.split_parents([[0]] * len(log.panels))
+        assert [(lo, hi) for _, lo, hi in parents] == [
+            (0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0),
+            (0.0, 0.5), (0.5, 1.0), (1.0, 1.5), (1.5, 2.0),
+        ]
+
+    def test_converged_component_is_refined_until_all_converge(self):
+        # exp(x) meets 1e-10 on the initial panels; 1 / (x + 1e-3) needs many
+        # bisections. Together, the peaked component picks every split, and
+        # both end within their own tolerance.
+        def smooth(x):
+            return np.exp(x)
+
+        def peaked(x):
+            return 1.0 / (x + 1e-3)
+
+        f = Recorder(lambda x: np.stack((smooth(x), peaked(x))))
+        values, errors = adaptive_gauss(f, 0.0, 1.0, 1e-10)
+        smooth_alone, peaked_alone = Recorder(smooth), Recorder(peaked)
+        adaptive_gauss(smooth_alone, 0.0, 1.0, 1e-10)
+        assert len(smooth_alone.sizes) == 1
+        alone = adaptive_gauss(peaked_alone, 0.0, 1.0, 1e-10)
+        assert len(f.sizes) == len(peaked_alone.sizes) > 1
+        assert (values[1], errors[1]) == alone
+        assert values.shape == errors.shape == (2,)
+        assert np.all(errors <= 1e-10 * np.abs(values))
+        assert values == pytest.approx([math.e - 1.0, math.log(1001.0)], rel=1e-11)
 
     def test_starved_budget_raises_with_progress(self):
         f = Recorder(np.sqrt)
@@ -219,17 +287,27 @@ class TestAdaptiveGaussRows:
             assert (values[r], errors[r]) == alone
             assert values[r] == pytest.approx(math.log((b + c) / (a + c)), rel=1e-11)
 
+    def test_component_rows_match_one_row_integrals_bit_for_bit(self):
+        def f(x, rows):
+            c = POLES[rows]
+            return np.stack((1.0 / (x + c), np.sqrt(x + c)))
+
+        values, errors = adaptive_gauss_rows(f, A, B, 1e-12)
+        assert values.shape == errors.shape == (2, POLES.size)
+        for r, (c, a, b) in enumerate(zip(POLES, A, B)):
+            alone = adaptive_gauss(lambda x: np.stack((1.0 / (x + c), np.sqrt(x + c))), a, b, 1e-12)
+            assert np.array_equal(values[:, r], alone[0])
+            assert np.array_equal(errors[:, r], alone[1])
+            sqrt_exact = 2.0 / 3.0 * ((b + c) ** 1.5 - (a + c) ** 1.5)
+            assert values[:, r] == pytest.approx(
+                [math.log((b + c) / (a + c)), sqrt_exact], rel=1e-11
+            )
+
     def test_one_call_per_round(self, monkeypatch):
-        splits = []
-        pop = heapq.heappop
-
-        def counting_pop(heap):
-            splits.append(len(heap))
-            return pop(heap)
-
-        monkeypatch.setattr(_integrate.heapq, "heappop", counting_pop)
+        log = EstimateLog(monkeypatch)
         f = RowRecorder()
         adaptive_gauss_rows(f, A, B, 1e-12, initial_panels=5)
+        splits = log.split_parents([rows for _, rows in f.calls])
         (first_shape, first_rows), *rounds = f.calls
         assert first_shape == (5, 5 * NODES_PER_PANEL)
         assert first_rows == [0, 1, 2, 3, 4]

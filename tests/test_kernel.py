@@ -265,6 +265,28 @@ class TestSaturatedPlasma:
         assert saturated == pytest.approx(mirror, rel=1e-12)
 
 
+    def test_table_low_tail_gives_the_same_limit(self):
+        # A table with an inverse-square low tail, eps - 1 = A / xi^2 with
+        # A = 1e24 rad^2/s^2: eps overflows at xi = 1e-160 but not at
+        # 1e-140, and eps xi^2 = xi^2 + A stays finite at both.
+        xi = np.geomspace(1e14, 1e16, 10)
+        table = optics.TabulatedPermittivity(
+            xi, 1.0 + 1e24 / xi**2, extrapolate_low="inverse_square"
+        )
+        kp, kpp, cos_d, za = 2e6, 1.1e6, 0.3, 1e-6
+        sin_d = math.sqrt(1.0 - cos_d**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isinf(table.eps(1e-160))
+            assert table.eps_times_xi2(1e-160) == pytest.approx(1e24, rel=1e-12)
+            a = [
+                kernel.a_exact(kernel.kernel_point(table, x, kp, kpp, cos_d, sin_d), za)
+                for x in (1e-140, 1e-160)
+            ]
+        assert math.isfinite(a[1])
+        assert a[1] == pytest.approx(a[0], rel=1e-12)
+
+
 class TestPerfectLimit:
     def test_plasma_ramp_approaches_mirror(self):
         xi, kp, kpp, phi, za = 3e14, 2e6, 1.1e6, 1.0, 1e-6

@@ -14,7 +14,8 @@ from cpsurf.quadrature import IntegralResult, QuadratureSettings
 
 
 def plane_per_xi_reference(atom, surface, z, settings, force):
-    """The plane integral as a scalar loop: one k' adaptive per xi node."""
+    """The plane integral as a scalar loop: one k' adaptive per xi node,
+    of the two components [U0, F0], of which force picks one."""
     k0 = 1.0 / z
 
     def inner(xi):
@@ -22,16 +23,17 @@ def plane_per_xi_reference(atom, surface, z, settings, force):
             k = k0 * v / (1.0 - v)
             jac = k0 / (1.0 - v) ** 2
             kappa = np.sqrt((xi / C_LIGHT) ** 2 + k**2)
-            weight = k if force else k / (2.0 * kappa)
             fs = fresnel(surface, k, xi)
             moment = (xi / C_LIGHT) ** 2 * (fs.r_te - fs.r_tm) - 2.0 * k**2 * fs.r_tm
-            return jac * weight * np.exp(-2.0 * kappa * z) * moment
+            common = jac * np.exp(-2.0 * kappa * z) * moment
+            return np.stack((common * (0.5 * k / np.hypot(xi / C_LIGHT, k)), common * k))
 
         return adaptive_gauss(
             f_k, 0.0, 1.0, quad._INNER_FRAC * settings.rel_tol, max_panels=settings.max_panels
         )[0]
 
-    return _per_xi_outer(atom, z, settings, inner, quad._PREF_PLANE)
+    value, error = _per_xi_outer(atom, z, settings, inner, quad._PREF_PLANE)
+    return value[int(force)], error[int(force)]
 
 
 def response_per_xi_reference(atom, surface, z, k_corr, settings):
@@ -85,12 +87,12 @@ def _per_xi_outer(atom, z, settings, inner, pref):
     xi0 = C_LIGHT / z
 
     def outer(u):
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
+        out = []
+        for ui in u:
             xi = xi0 * ui / (1.0 - ui)
             jac = xi0 / (1.0 - ui) ** 2
-            out[i] = polarizability(atom, xi) * jac * inner(xi)
-        return out
+            out.append(polarizability(atom, xi) * jac * inner(xi))
+        return np.stack(out, axis=-1)
 
     val, err = adaptive_gauss(
         outer, 0.0, 1.0, quad._OUTER_FRAC * settings.rel_tol, max_panels=settings.max_panels
@@ -186,6 +188,15 @@ class TestPlaneIntegrals:
             assert (got.value, got.error) == plane_per_xi_reference(
                 osc_rb, surface, z, s, force
             )
+
+    @pytest.mark.parametrize("surface_name", ["gold", "mirror"])
+    def test_potential_and_force_are_the_halves_of_one_pass(self, request, osc_rb, surface_name):
+        surface = request.getfixturevalue(surface_name)
+        s = QuadratureSettings(rel_tol=1e-7)
+        u, f = quad.plane_potential_and_force(osc_rb, surface, 1.1e-6, s)
+        assert quad.plane_potential(osc_rb, surface, 1.1e-6, s) == u
+        assert quad.plane_force(osc_rb, surface, 1.1e-6, s) == f
+        assert u.value < 0.0 and f.value < 0.0
 
     def test_starved_inner_layer_names_its_xi(self, osc_rb, gold):
         starved = QuadratureSettings(rel_tol=1e-13, max_panels=4)
