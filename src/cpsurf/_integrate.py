@@ -148,16 +148,17 @@ def _panel_estimates(
     los,
     his,
     n_high: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values, abs error estimates) of the panels [los, his].
+) -> np.ndarray:
+    """Values and abs error estimates of the panels [los, his], stacked
+    on a leading axis of 2 (values first).
 
     ``los`` and ``his`` share a shape P. One call of ``f`` receives the
     n_high Gauss-Kronrod nodes (ascending) of every panel, shape
     P + (n_high,), and returns the integrand there with that shape or
-    with a leading component axis, (c,) + P + (n_high,); the results
-    have shape P or (c,) + P. The value is the Kronrod sum and the error
-    estimate its distance from the embedded Gauss sum. Each panel is
-    reduced by its own dot product (a stack of 1 x n products, which
+    with a leading component axis, (c,) + P + (n_high,); the result has
+    shape (2,) + P or (2, c) + P. The value is the Kronrod sum and the
+    error estimate its distance from the embedded Gauss sum. Each panel
+    is reduced by its own dot product (a stack of 1 x n products, which
     numpy hands to the same BLAS dot as ``np.dot``), so a pointwise
     integrand gives the same bits as evaluating each rule of each panel
     on its own. Raises FloatingPointError if a panel's value or error
@@ -173,17 +174,10 @@ def _panel_estimates(
     i_g = halves * np.matmul(np.ascontiguousarray(fx[..., 1::2]), w_g)[..., 0, 0]
     with np.errstate(invalid="ignore"):
         err = np.abs(i_k - i_g)
-    if not np.all(np.isfinite(err)):
+    if not np.isfinite(err).all():
         # nan or inf in either sum: bisecting cannot recover, so stop now.
         raise FloatingPointError("integrand is not finite on a quadrature panel")
-    return i_k, err
-
-
-def _row_totals(parts: np.ndarray) -> np.ndarray:
-    # A running sum over the columns in the order the panels were made:
-    # it depends only on the row's own panels, and split panels' zeros
-    # add exactly.
-    return np.cumsum(parts, axis=-1)[..., -1]
+    return np.array((i_k, err))
 
 
 def adaptive_gauss_rows(
@@ -226,43 +220,46 @@ def adaptive_gauss_rows(
     edges = np.arange(initial_panels + 1.0) * ((b - a) / initial_panels) + a
     edges[:, -1:] = b
 
-    def estimate(ids: np.ndarray, los: np.ndarray, his: np.ndarray):
+    def estimate(ids: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         # los, his: (working rows, new panels per row); the abscissae of a
-        # row's new panels fold into one line of x. Returns (c, rows,
-        # panels) arrays, c = 1 for an integrand without components.
+        # row's new panels fold into one line of x.
         def f_lines(x: np.ndarray) -> np.ndarray:
             fx = np.asarray(f(x.reshape(x.shape[0], -1), ids[:, None]))
             return fx.reshape(fx.shape[:-2] + x.shape)
 
-        vals, errs = _panel_estimates(f_lines, los, his, n_high)
-        return vals.ndim > los.ndim, vals.reshape(-1, *los.shape), errs.reshape(-1, *los.shape)
+        return _panel_estimates(f_lines, los, his, n_high)
 
     # The working rows' panels, one column per panel in the order the
-    # panels were made; a split panel's value and error become 0 and its
-    # halves go on as two new columns. ids maps a working row to its
-    # index. Every working row splits once per round, so all share the
-    # column count.
+    # panels were made: bounds lo, hi of shape (rows, columns) and
+    # (value, error) pairs pan of shape (2, c, rows, columns). A split
+    # panel's value and error become 0 and its halves go on as two new
+    # columns; every working row splits once per round, so all share the
+    # column count n. ids maps a working row to its index.
     ids = np.arange(edges.shape[0])
-    lo, hi = edges[:, :-1], edges[:, 1:]
-    has_components, val, err = estimate(ids, lo, hi)
-    n_comp = val.shape[0]
-    values = np.empty((n_comp, ids.size))
-    errors = np.empty((n_comp, ids.size))
+    n = initial_panels
+    first = estimate(ids, edges[:, :-1], edges[:, 1:])
+    has_components = first.ndim == 4
+    first = first.reshape(2, -1, ids.size, n)
+    lo = np.empty((ids.size, 4 * n))
+    hi = np.empty_like(lo)
+    pan = np.empty(first.shape[:-1] + (4 * n,))
+    lo[:, :n], hi[:, :n], pan[..., :n] = edges[:, :-1], edges[:, 1:], first
+    values = np.empty(pan.shape[1:3])
+    errors = np.empty(pan.shape[1:3])
     n_panels = initial_panels
     while True:
-        total = _row_totals(val)
-        total_err = _row_totals(err)
+        # A running sum over the columns in the order the panels were
+        # made: it depends only on the row's own panels, and the zeros
+        # of split panels add exactly.
+        total, total_err = np.cumsum(pan[..., :n], axis=-1)[..., -1]
         target = rel_tol * np.abs(total)
         met = total_err <= target
         done = met.all(axis=0)
-        values[:, ids[done]] = total[:, done]
-        errors[:, ids[done]] = total_err[:, done]
-        if done.all():
-            break
-        if n_panels >= max_panels:
+        finished = done.all()
+        if not finished and n_panels >= max_panels:
             # ids ascend, so the first working row has the lowest index.
-            r = int(np.argmin(done))
-            c = int(np.argmin(met[:, r]))
+            r = int(done.argmin())
+            c = int(met[:, r].argmin())
             raise ConvergenceError(
                 f"quadrature did not converge: {n_panels} panels, abs err "
                 f"estimate {total_err[c, r]:.3e} vs target {target[c, r]:.3e}",
@@ -271,29 +268,33 @@ def adaptive_gauss_rows(
                 row=int(ids[r]),
             )
         if done.any():
+            values[:, ids[done]] = total[:, done]
+            errors[:, ids[done]] = total_err[:, done]
+            if finished:
+                break
             work = ~done
-            ids, lo, hi = ids[work], lo[work], hi[work]
-            val, err, target = val[:, work], err[:, work], target[:, work]
-        if n_comp == 1:
-            worst = err[0]
+            ids, lo, hi, target = ids[work], lo[work], hi[work], target[:, work]
+            pan = pan[:, :, work]
+        if pan.shape[1] == 1:
+            worst = pan[1, 0, :, :n]
         else:
             # Against a zero target every error counts as huge (inf ties
             # go to the earliest panel).
             with np.errstate(over="ignore"):
-                worst = (err / np.maximum(target, _TINY)[..., None]).max(axis=0)
+                worst = (pan[1, ..., :n] / np.maximum(target, _TINY)[..., None]).max(axis=0)
         rows = np.arange(ids.size)
-        split = np.argmax(worst, axis=1)
+        split = worst.argmax(axis=1)
         left, right = lo[rows, split], hi[rows, split]
+        pan[..., rows, split] = 0.0
+        if n + 2 > lo.shape[1]:
+            lo, hi, pan = (np.concatenate((x, np.empty_like(x)), axis=-1) for x in (lo, hi, pan))
         mid = 0.5 * (left + right)
-        val[:, rows, split] = 0.0
-        err[:, rows, split] = 0.0
-        los = np.stack((left, mid), axis=1)
-        his = np.stack((mid, right), axis=1)
-        _, new_val, new_err = estimate(ids, los, his)
-        lo = np.concatenate((lo, los), axis=1)
-        hi = np.concatenate((hi, his), axis=1)
-        val = np.concatenate((val, new_val), axis=2)
-        err = np.concatenate((err, new_err), axis=2)
+        lo[:, n], lo[:, n + 1] = left, mid
+        hi[:, n], hi[:, n + 1] = mid, right
+        pan[..., n : n + 2] = estimate(ids, lo[:, n : n + 2], hi[:, n : n + 2]).reshape(
+            pan.shape[:-1] + (2,)
+        )
+        n += 2
         n_panels += 1
     if has_components:
         return values, errors

@@ -232,6 +232,17 @@ class TestAdaptiveGauss:
         assert np.all(errors <= 1e-10 * np.abs(values))
         assert values == pytest.approx([math.e - 1.0, math.log(1001.0)], rel=1e-11)
 
+    def test_zero_component_leaves_the_splits_to_the_other(self):
+        # A component that is 0 everywhere has a zero target and zero
+        # errors: it is met at once and never steers a split.
+        peaked = Recorder(lambda x: 1.0 / (x + 1e-3))
+        alone = adaptive_gauss(peaked, 0.0, 1.0, 1e-10)
+        both = Recorder(lambda x: np.stack((np.zeros_like(x), 1.0 / (x + 1e-3))))
+        values, errors = adaptive_gauss(both, 0.0, 1.0, 1e-10)
+        assert (values[0], errors[0]) == (0.0, 0.0)
+        assert (values[1], errors[1]) == alone
+        assert both.sizes == peaked.sizes
+
     def test_starved_budget_raises_with_progress(self):
         f = Recorder(np.sqrt)
         with pytest.raises(ConvergenceError) as info:
