@@ -18,19 +18,23 @@ Two building blocks:
   several components at once (a leading axis); a row then runs until
   every component meets its own tolerance. ``adaptive_gauss`` is the
   one-row case.
-* ``cc_batch`` -- nested Clenshaw-Curtis with node doubling, applied to a
-  whole batch of integrands at once (the angular integral for every k'
-  node of a panel in one numpy call per doubling). The first call takes
-  33 points. After each call the rule estimates the error of the value
-  it would return from the Chebyshev coefficients its samples already
-  give, guarded by the change since the rule of half the order, and
-  stops as soon as that estimate meets the tolerance.
+* ``cc_rows`` -- nested Clenshaw-Curtis over [0, pi] with node doubling,
+  run on a block of rows, each a batch of integrands (for the response,
+  a row is one xi node and its batch the angular integrals of its k'
+  nodes). The first call takes 33 points on every row. After each call
+  the rule estimates, per element, the error of the value it would
+  return from the Chebyshev coefficients its samples already give,
+  guarded by the change since the rule of half the order. A row stops
+  as soon as its estimates meet its own tolerance; only the rows still
+  working get the odd nodes of the next doubling. ``cc_batch`` is the
+  one-row case.
 
 Both are deterministic: fixed node sets, worst-first splitting (the
 bisection rule of QUADPACK, Piessens et al., 1983) with ties going to
 the earliest-made panel, and row totals summed column by column in the
-order the panels were made. A row's panels, splits and totals never
-depend on the other rows, so it gets the same bits in lock-step as
+order the panels were made. A row's panels, splits, totals and angular
+values never depend on the other rows (every reduction is a product
+over the row's own samples), so it gets the same bits in lock-step as
 integrated alone.
 """
 
@@ -381,12 +385,14 @@ def _cc_estimate(
     vals: np.ndarray,
     coarse: np.ndarray,
     n_half: int,
-    target: float,
-) -> tuple[np.ndarray, bool]:
-    """Abs error estimate of each batch element of the Clenshaw-Curtis
-    value ``vals`` = (pi/2) fx @ w on [0, pi], n = 2 n_half, and whether
-    the rule may stop: every element's estimate is at most ``target``, or
-    at most its own rounding floor where that is larger.
+    target: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Abs error estimate of each element of the Clenshaw-Curtis values
+    ``vals`` = (pi/2) fx @ w on [0, pi], n = 2 n_half, and whether each
+    row may stop: every element of the row has an estimate at most the
+    row's ``target``, or at most its own rounding floor where that is
+    larger. ``fx`` is (rows, n elements, 2 n_half + 1) and ``target``
+    (rows,); the estimates are (rows, n elements), the verdicts (rows,).
 
     * Tail: the largest |c| of the Chebyshev coefficients n-4, n-2 and n of
       the samples, times the integral weight 4 / (n^2 - 1) (O'Hara & Smith,
@@ -401,24 +407,107 @@ def _cc_estimate(
       QUADPACK's rounding floor 50 eps int |f| taken from an upper bound
       (int |f| <= resasc + |vals| <= 3 int |f|).
 
-    The guard never exceeds d, so where tail + d meets ``target`` on every
-    element, that bound is returned as the estimate and the guard and
-    floor are not computed.
+    The guard never exceeds d, so on a row where tail + d meets the target
+    on every element, that bound is the row's estimate and its guard and
+    floor are not computed. Each row is reduced by its own matrix-vector
+    products, so a row gets the same bits in a block of any size.
     """
     # Three matrix-vector products: one matrix product with the rows
     # stacked raised the benchmark's peak RSS by 0.3-0.4 MB.
     r0, r1, r2 = _cc_tail(n_half)
     tail = np.maximum(np.maximum(np.abs(fx @ r0), np.abs(fx @ r1)), np.abs(fx @ r2))
     d = np.abs(vals - coarse)
-    bound = tail + d
-    if (bound <= target).all():
-        return bound, True
+    est = tail + d
+    done = (est <= target[:, None]).all(axis=1)
+    if done.all():
+        return est, done
+    slow = ~done
+    fx, vals, tail, d, target = fx[slow], vals[slow], tail[slow], d[slow], target[slow]
     resasc = (0.5 * np.pi) * (np.abs(fx - (vals / np.pi)[..., None]) @ w)
     floor = _CC_ROUNDING * (resasc + np.abs(vals))
     # min(1, 200 d / resasc); tiny keeps it 0 for a constant f (resasc = 0).
     shrink = np.minimum(_CC_GUARD_SCALE * d, resasc) / (resasc + _TINY)
-    est = np.maximum(tail + d * shrink * np.sqrt(shrink), floor)
-    return est, bool((est <= np.maximum(floor, target)).all())
+    full = np.maximum(tail + d * shrink * np.sqrt(shrink), floor)
+    est[slow] = full
+    done[slow] = (full <= np.maximum(floor, target[:, None])).all(axis=1)
+    return est, done
+
+
+def cc_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n_rows: int,
+    rel_tol: float,
+    max_half: int = 512,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate a block of batches ("rows") of smooth integrands over
+    [0, pi], each row stopping on its own.
+
+    ``f(t, rows)`` takes the angle nodes t and the 1-D int array of the
+    rows still working (indices into the block of ``n_rows``) and returns
+    the integrand as an array of shape (len(rows), n, t.size): n batch
+    elements per row, the same n for every row. The first call takes the
+    33-point Clenshaw-Curtis rule on every row; each further call hands
+    only the rows still working the odd nodes of the next doubling. After
+    every call each element gets an estimate of the error of the value
+    about to be returned (``_cc_estimate``: Chebyshev tail, a guard from
+    the change since the rule of half the order, and a rounding floor), so
+    a row that has converged stops at once, the first 33-point call
+    included, and is never evaluated again. A row stops when every
+    element's estimate is at most rel_tol of the row's largest magnitude,
+    or its own rounding floor if that is larger. Each row's values,
+    estimates and stop come from its own samples alone, so a row gets the
+    same bits in a block of any size as alone. Returns (values of shape
+    (n_rows, n), the largest estimate of each row).
+
+    A check that fails once the half-order has reached max_half (so the
+    first check, for max_half <= 16) raises a ConvergenceError for the
+    lowest-index failing row; its ``row`` is the flat index, row * n +
+    element, of that row's element with the largest estimate. Values that
+    are not finite raise FloatingPointError at once: doubling cannot
+    recover them.
+    """
+    ids = np.arange(n_rows)
+    n_half = 16
+    x, w = _cc_rule(n_half)
+    fx = f(0.5 * np.pi * (x + 1.0), ids)
+    # The 17-point nodes are the even 33-point ones, bit for bit.
+    coarse = 0.5 * np.pi * (np.ascontiguousarray(fx[..., ::2]) @ _cc_rule(8)[1])
+    values = deltas = None
+    while True:
+        vals = 0.5 * np.pi * (fx @ w)
+        if not np.isfinite(vals).all():
+            raise FloatingPointError("integrand is not finite on the angular rule")
+        target = rel_tol * np.abs(vals).max(axis=1)
+        est, done = _cc_estimate(fx, w, vals, coarse, n_half, target)
+        delta = est.max(axis=1)
+        done |= target == 0.0
+        if not done.all() and n_half >= max_half:
+            # ids ascend, so the first working row has the lowest index.
+            r = int(done.argmin())
+            raise ConvergenceError(
+                f"angular quadrature did not converge: {2 * n_half + 1} points, "
+                f"error estimate {delta[r]:.3e} vs target {target[r]:.3e}",
+                float(vals[r, 0]),
+                float(delta[r]),
+                row=int(ids[r]) * vals.shape[1] + int(np.argmax(est[r])),
+            )
+        if values is None:
+            if done.all():
+                return vals, delta
+            values = np.empty_like(vals)
+            deltas = np.empty_like(delta)
+        values[ids[done]] = vals[done]
+        deltas[ids[done]] = delta[done]
+        if done.all():
+            return values, deltas
+        work = ~done
+        ids, fx, coarse = ids[work], fx[work], vals[work]
+        n_half *= 2
+        x, w = _cc_rule(n_half)
+        fx_new = np.empty(fx.shape[:-1] + (2 * n_half + 1,), dtype=fx.dtype)
+        fx_new[..., ::2] = fx
+        fx_new[..., 1::2] = f(0.5 * np.pi * (x[1::2] + 1.0), ids)
+        fx = fx_new
 
 
 def cc_batch(
@@ -428,47 +517,21 @@ def cc_batch(
 ) -> tuple[np.ndarray, float]:
     """Integrate a batch of smooth integrands over [0, pi].
 
-    ``f(phi)`` must return an array whose last axis matches ``phi``. The
-    first call takes the 33-point Clenshaw-Curtis rule; each further call
-    adds the odd nodes of the next doubling. After every call each batch
-    element gets an estimate of the error of the value about to be
-    returned (``_cc_estimate``: Chebyshev tail, a guard from the change
-    since the rule of half the order, and a rounding floor), so a rule
-    that has converged stops at once, the first 33-point call included.
-    The rule stops when every element's estimate is at most rel_tol of the
-    batch's largest magnitude, or its own rounding floor if that is
-    larger; returns (values, largest estimate). A check that fails once
-    the half-order has reached max_half (so the first check, for
-    max_half <= 16) raises a ConvergenceError that names as ``row`` the
-    (flat) batch element with the largest estimate. Values that are not
-    finite raise FloatingPointError at once: doubling cannot recover them.
+    The one-row case of ``cc_rows``. ``f(phi)`` must return an array whose
+    last axis matches ``phi``; the batch is its leading axes. The rule
+    stops when every element's estimate is at most rel_tol of the batch's
+    largest magnitude, or its own rounding floor if that is larger;
+    returns (values, largest estimate). A failure at max_half raises a
+    ConvergenceError that names as ``row`` the (flat) batch element with
+    the largest estimate; values that are not finite raise
+    FloatingPointError.
     """
-    n_half = 16
-    x, w = _cc_rule(n_half)
-    fx = f(0.5 * np.pi * (x + 1.0))
-    # The 17-point nodes are the even 33-point ones, bit for bit.
-    coarse = 0.5 * np.pi * (np.ascontiguousarray(fx[..., ::2]) @ _cc_rule(8)[1])
-    while True:
-        vals = 0.5 * np.pi * (fx @ w)
-        if not np.isfinite(vals).all():
-            raise FloatingPointError("integrand is not finite on the angular rule")
-        target = rel_tol * float(np.abs(vals).max())
-        est, done = _cc_estimate(fx, w, vals, coarse, n_half, target)
-        delta = float(est.max())
-        if done or target == 0.0:
-            return vals, delta
-        if n_half >= max_half:
-            raise ConvergenceError(
-                f"angular quadrature did not converge: {2 * n_half + 1} "
-                f"points, error estimate {delta:.3e} vs target {target:.3e}",
-                float(vals.flat[0]) if vals.size else 0.0,
-                delta,
-                row=int(np.argmax(est)),
-            )
-        coarse = vals
-        n_half *= 2
-        x, w = _cc_rule(n_half)
-        fx_new = np.empty(fx.shape[:-1] + (2 * n_half + 1,), dtype=fx.dtype)
-        fx_new[..., ::2] = fx
-        fx_new[..., 1::2] = f(0.5 * np.pi * (x[1::2] + 1.0))
-        fx = fx_new
+    shape = []
+
+    def f_row(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        fx = np.asarray(f(t))
+        shape[:] = fx.shape[:-1]
+        return fx.reshape(1, -1, t.size)
+
+    values, deltas = cc_rows(f_row, 1, rel_tol, max_half)
+    return values[0].reshape(shape), float(deltas[0])

@@ -155,7 +155,9 @@ class PlasmaMetal:
 
     def eps(self, xi):
         xi = np.asarray(xi, dtype=float)
-        with np.errstate(divide="ignore"):
+        # eps overflows to inf at tiny xi (xi**2 underflows to 0 or
+        # omega_p^2 / xi^2 exceeds the float range): the saturated plasma.
+        with np.errstate(divide="ignore", over="ignore"):
             out = 1.0 + self.omega_p**2 / xi**2
         return out if out.ndim else float(out)
 

@@ -17,28 +17,31 @@ call. U0 and F0 differ only in the k' weight, so the plane pass
 integrates both as two components of one integrand: one Fresnel call
 per round (a xi column against the k lines) serves both, and every
 layer refines until both meet the tolerance; plane_potential and
-plane_force return its halves. The response's integrand runs, per row,
-the angular integral of all its k' nodes at once by nested
-Clenshaw-Curtis. Near k' = k the wavenumber k'' = |k' - k| nearly
+plane_force return its halves. The response's integrand runs the angular
+integrals of a round's rows by nested Clenshaw-Curtis (cc_rows), one rule
+call per block of rows of at most 16,384 first-call points, each row
+taking the angular integrals of all its k' nodes at once and stopping on
+its own. Near k' = k the wavenumber k'' = |k' - k| nearly
 vanishes at phi = 0, a near-singularity at a distance of about
 delta = |k' - k| / sqrt(k' k) from the real phi axis, so each k' node
 integrates over t in [0, pi] with the sinh map phi = delta sinh(mu t / pi),
 mu = asinh(pi / delta), which spreads the nodes near phi = 0 on the
-scale delta and tends to the identity for large delta. The angular rule
-stops on an estimate of the error of the value it returns (Chebyshev
-tail, a guard against aliasing and a rounding floor; see cc_batch), so
-most batches end with their first kernel_point call, of 33 points. At
+scale delta and tends to the identity for large delta. A row of the angular
+rule stops on an estimate of the error of the value it returns (Chebyshev
+tail, a guard against aliasing and a rounding floor; see cc_rows), so
+most rows end with their first kernel_point call, of 33 points. At
 k = 0 the response is the flat-surface force, so response_g returns
 plane_force; beyond k z_A = 40 it returns a negligible zero. The angular
 geometry (the map, k'' and the angle between k' and k'') depends on the
 k' nodes and the angle nodes but not on xi, so each k' round builds it
 once per k' line and angle node set and shares it, read-only, with every
-xi row on that line. The kernel forms no Fresnel set: kernel_point takes
+xi row on that line. kernel_point still runs once per row, at its scalar
+xi. The kernel forms no Fresnel set: kernel_point takes
 the decay constants kappa, kappa_t of both legs and eps, and the k' leg
 (kappa', kappa'_t and its TE and TM factors) depends on k' only, so it is
 built on the k' column, n elements, and broadcast against the k'' x angle
-grid. A further Clenshaw-Curtis doubling is a new kernel_point call, which
-rebuilds only those n elements of the leg.
+grid. A further Clenshaw-Curtis doubling is a new kernel_point call for each
+row still working, which rebuilds only those n elements of the leg.
 Inner tolerances are set below the requested one so the reported error,
 outer estimate plus a tolerance-sized pad, is trustworthy. A
 ConvergenceError names the layer that failed ("xi", "kprime" or "phi"),
@@ -57,7 +60,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._integrate import ConvergenceError, adaptive_gauss, adaptive_gauss_rows, cc_batch
+from ._integrate import ConvergenceError, adaptive_gauss, adaptive_gauss_rows, cc_rows
+from ._integrate import cc_batch  # noqa: F401  (bench/tracing.py patches quadrature.cc_batch; ROADMAP item 3)
 from .atomics import polarizability
 from .closedforms import f_cp0, rho_cp_perf
 from .constants import C_LIGHT, EPS0, HBAR
@@ -94,6 +98,10 @@ _DELTA_MIN = float(np.finfo(float).eps)
 # Beyond k z_A = 40, g(k, z_A) cannot be resolved against g(0, z_A) in
 # double precision, so response_g returns it as a negligible zero.
 _KZ_CUTOFF = 40.0
+# Angular rule calls take at most this many integrand points on their
+# first (33-point) call: a block holds max(1, 16384 // (33 n)) rows of n
+# k' nodes each. Larger blocks raised the peak RSS with little gain.
+_ANGULAR_BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -318,32 +326,37 @@ def response_g(
     angular_tol = _ANGULAR_FRAC * settings.rel_tol
     kernel = a_perfect if surface.is_perfect else a_exact
 
-    def angular(xi: float, kp: np.ndarray, geometry: dict) -> np.ndarray:
-        # geometry maps the angle nodes' bytes to the geometry of this k'
-        # line on them, shared with every row of the round on this line.
-        def f_phi(t: np.ndarray) -> np.ndarray:
-            key = t.tobytes()
-            if key not in geometry:
-                geometry[key] = _angular_geometry(kp, k_corr, t)
-            kp_col, kpp, cos_d, sin_d, dphi_dt = geometry[key]
-            point = kernel_point(surface, xi, kp_col, kpp, cos_d, sin_d)
-            return kernel(point, z_atom) * dphi_dt
-
-        with _layer("phi", xi, kp):
-            vals, _ = cc_batch(f_phi, angular_tol)
-        return vals
-
     def f_row(xi: np.ndarray, kp: np.ndarray, jac: np.ndarray) -> np.ndarray:
-        # One angular batch per row: its k' nodes at its own scalar xi.
-        # The geometry does not depend on xi, so rows on the same k' line
-        # share it; the memo lives for this round only.
+        # The angular integrals of a round's rows run as rows of one rule
+        # per block, each row's k' nodes at its own scalar xi. The geometry
+        # does not depend on xi, so rows on the same k' line share it: memo
+        # maps a line's bytes, then the angle nodes' bytes, to it, and
+        # lives for this round only.
+        xi = xi[:, 0]
+        n = kp.shape[1]
+        # The rule names a failing element by its flat (row, k' node) index.
+        xi_grid = np.broadcast_to(xi[:, None], kp.shape)
         memo: dict[bytes, dict[bytes, tuple]] = {}
-        vals = np.array(
-            [
-                angular(x, line, memo.setdefault(line.tobytes(), {}))
-                for x, line in zip(xi[:, 0], kp)
-            ]
-        )
+        lines = [memo.setdefault(line.tobytes(), {}) for line in kp]
+        vals = np.empty(kp.shape)
+        block = max(1, _ANGULAR_BLOCK_POINTS // (33 * n))
+        for start in range(0, xi.size, block):
+            stop = min(start + block, xi.size)
+
+            def f_phi(t: np.ndarray, rows: np.ndarray, start=start) -> np.ndarray:
+                key = t.tobytes()
+                out = np.empty((rows.size, n, t.size))
+                for i, r in enumerate((rows + start).tolist()):
+                    geometry = lines[r]
+                    if key not in geometry:
+                        geometry[key] = _angular_geometry(kp[r], k_corr, t)
+                    kp_col, kpp, cos_d, sin_d, dphi_dt = geometry[key]
+                    point = kernel_point(surface, xi[r], kp_col, kpp, cos_d, sin_d)
+                    np.multiply(kernel(point, z_atom), dphi_dt, out=out[i])
+                return out
+
+            with _layer("phi", xi_grid[start:stop], kp[start:stop]):
+                vals[start:stop], _ = cc_rows(f_phi, stop - start, angular_tol)
         return jac * kp * vals
 
     return _result(_PREF_G, _xi_kprime(atom, z_atom, settings, f_row), settings)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from cpsurf import cli, optics, quadrature
-from cpsurf._integrate import cc_batch
+from cpsurf._integrate import cc_rows
 from cpsurf.closedforms import rho_cp_perf
 
 
@@ -539,7 +539,7 @@ class TestExitCodes:
 
     def test_starved_angular_budget_names_xi_and_kprime(self, monkeypatch):
         # An angular rule held to its first 33-point check.
-        monkeypatch.setattr(quadrature, "cc_batch", functools.partial(cc_batch, max_half=8))
+        monkeypatch.setattr(quadrature, "cc_rows", functools.partial(cc_rows, max_half=8))
         code, out, err = run_main(
             "response", "--atom", "rb87", "--surface", "silicon",
             "--z", "1e-6", "--kz", "3", "--rel-tol", "1e-13",

@@ -9,6 +9,7 @@ from cpsurf._integrate import (
     adaptive_gauss,
     adaptive_gauss_rows,
     cc_batch,
+    cc_rows,
 )
 
 NODES_PER_PANEL = 17  # G8/K17: the Kronrod nodes embed the 8 Gauss nodes
@@ -468,3 +469,76 @@ class TestCcBatch:
         with pytest.raises(ConvergenceError, match="33 points"):
             cc_batch(rec, 1e-12, max_half=8)
         assert rec.sizes == [33]
+
+
+# Rows of an angular block, two integrands each: at rel_tol 1e-10 rows 0
+# and 2 stop at 33 points, row 1 doubles to 65 and row 3 to 129.
+BLOCK_ROWS = (
+    lambda t: np.vstack([np.exp(0.25 * np.cos(t)), np.exp(np.cos(t))]),
+    lambda t: np.vstack([np.exp(np.cos(t)), 3.0 * np.sin(5.0 * t) ** 2]),
+    lambda t: np.vstack([np.exp(-np.cos(t)), 3.0 + np.cos(2.0 * t)]),
+    lambda t: np.vstack([100.0 * np.sin(10.0 * t) ** 2, np.exp(np.cos(t))]),
+)
+
+
+class RowsRecorder:
+    """Row integrand over a choice of BLOCK_ROWS that records, per call,
+    the number of angle nodes and the rows handed over."""
+
+    def __init__(self, picks):
+        self.picks = picks
+        self.calls = []
+
+    def __call__(self, t, rows):
+        self.calls.append((t.size, rows.tolist()))
+        return np.stack([BLOCK_ROWS[self.picks[r]](t) for r in rows])
+
+
+class TestCcRows:
+    @pytest.mark.parametrize("picks", [[0, 1, 2, 3], [3, 1], [2, 0, 3], [1]])
+    def test_rows_match_the_one_row_rule_bit_for_bit(self, picks):
+        rec = RowsRecorder(picks)
+        vals, deltas = cc_rows(rec, len(picks), 1e-10)
+        assert vals.shape == (len(picks), 2) and deltas.shape == (len(picks),)
+        for r, pick in enumerate(picks):
+            sizes = []
+
+            def alone(t, pick=pick):
+                sizes.append(t.size)
+                return BLOCK_ROWS[pick](t)
+
+            alone_vals, alone_delta = cc_batch(alone, 1e-10)
+            assert np.array_equal(vals[r], alone_vals)
+            assert deltas[r] == alone_delta
+            # Every call that handed this row over, at its node count.
+            assert [size for size, rows in rec.calls if r in rows] == sizes
+        assert rec.calls[0] == (33, list(range(len(picks))))
+
+    def test_stopped_rows_are_never_evaluated_again(self):
+        rec = RowsRecorder([0, 1, 2, 3])
+        vals, _ = cc_rows(rec, 4, 1e-10)
+        assert rec.calls == [(33, [0, 1, 2, 3]), (32, [1, 3]), (64, [3])]
+        assert vals[1, 1] == pytest.approx(1.5 * math.pi, rel=1e-12)
+        assert vals[3, 0] == pytest.approx(50.0 * math.pi, rel=1e-12)
+
+    def test_failure_names_lowest_failing_row_and_its_worst_element(self):
+        # At the first check rows 1 and 3 fail. Row 3 has the block's
+        # largest estimate, but row 1 is the lowest failing row; its worst
+        # element is element 1, flat index 1 * 2 + 1.
+        rec = RowsRecorder([0, 1, 2, 3])
+        with pytest.raises(ConvergenceError, match="33 points") as info:
+            cc_rows(rec, 4, 1e-10, max_half=16)
+        exc = info.value
+        assert exc.row == 3
+        assert rec.calls == [(33, [0, 1, 2, 3])]
+        with pytest.raises(ConvergenceError) as alone:
+            cc_batch(BLOCK_ROWS[1], 1e-10, max_half=16)
+        assert alone.value.row == 1
+        assert (exc.value, exc.achieved_abs_err, str(exc)) == (
+            alone.value.value,
+            alone.value.achieved_abs_err,
+            str(alone.value),
+        )
+        with pytest.raises(ConvergenceError) as worst:
+            cc_batch(BLOCK_ROWS[3], 1e-10, max_half=16)
+        assert worst.value.achieved_abs_err > exc.achieved_abs_err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cpsurf import _integrate, closedforms as cf, quadrature as quad
-from cpsurf._integrate import _gauss_kronrod, adaptive_gauss, cc_batch
+from cpsurf._integrate import _gauss_kronrod, adaptive_gauss, cc_batch, cc_rows
 from cpsurf.atomics import StaticPolarizability, polarizability
 from cpsurf.constants import C_LIGHT
 from cpsurf.optics import fresnel
@@ -229,7 +229,7 @@ class TestResponse:
         # plane_force's result, with no kernel node and no angular rule.
         surface = request.getfixturevalue(surface_name)
         calls = []
-        for name in ("cc_batch", "kernel_point"):
+        for name in ("cc_rows", "cc_batch", "kernel_point"):
             monkeypatch.setattr(quad, name, lambda *args, **kwargs: calls.append(args))
         z, s = 1e-6, QuadratureSettings()
         g0 = quad.response_g(osc_rb, surface, z, 0.0, s)
@@ -302,19 +302,41 @@ class TestResponse:
         [({"max_half": 8}, "phi"), ({"max_panels": 4}, "kprime")],
     )
     def test_convergence_error_names_layer(self, monkeypatch, osc_rb, silicon, budget, layer):
+        # The (xi, k') pairs of the kernel_point calls of the latest angular
+        # rule call: when the rule fails, those of the failing block.
+        block = []
         if "max_half" in budget:
             # The angular rule, held to its first 33-point check.
-            monkeypatch.setattr(quad, "cc_batch", functools.partial(cc_batch, **budget))
+            rule = functools.partial(cc_rows, **budget)
+
+            def starved_rows(*args, **kwargs):
+                block.clear()
+                return rule(*args, **kwargs)
+
+            original = quad.kernel_point
+
+            def spy(surface, xi, kp, *args):
+                block.append((xi, np.ravel(kp)))
+                return original(surface, xi, kp, *args)
+
+            monkeypatch.setattr(quad, "cc_rows", starved_rows)
+            monkeypatch.setattr(quad, "kernel_point", spy)
             budget = {}
         starved = QuadratureSettings(rel_tol=1e-13, **budget)
         with pytest.raises(quad.ConvergenceError) as info:
             quad.response_g(osc_rb, silicon, 1e-6, 3e6, starved)
-        assert info.value.layer == layer
-        assert info.value.xi > 0.0
+        exc = info.value
+        assert exc.layer == layer
+        assert exc.xi > 0.0
         if layer == "phi":
-            assert info.value.kp > 0.0
+            assert exc.kp > 0.0
+            # A real (xi row, k' node) of the failing block. At 1e-13 no
+            # row meets its target at 33 points, so the block's first row
+            # is the lowest-index failing row.
+            assert any(xi == exc.xi and exc.kp in kp for xi, kp in block)
+            assert exc.xi == block[0][0]
         else:
-            assert info.value.kp is None
+            assert exc.kp is None
 
     @pytest.mark.parametrize("surface_name", ["silicon", "gold", "mirror"])
     def test_lock_step_equals_per_xi_loop(self, request, osc_rb, surface_name):
@@ -383,6 +405,34 @@ class TestResponse:
         distinct = {id(kpp) for _, _, _, kpp, _, _ in seen}
         assert 10 * len(distinct) <= len(seen)
 
+    @pytest.mark.parametrize("kz", [3.0, 6.0])
+    def test_angular_blocks_keep_to_the_point_cap(self, monkeypatch, osc_rb, silicon, kz):
+        # The first call of each angular rule call, over its block of rows,
+        # evaluates at most _ANGULAR_BLOCK_POINTS points, unless one row
+        # alone exceeds it.
+        first_calls = []
+
+        def spy(f, n_rows, *args, **kwargs):
+            sizes = []
+
+            def counted(t, rows):
+                fx = f(t, rows)
+                sizes.append(fx.size)
+                return fx
+
+            try:
+                return cc_rows(counted, n_rows, *args, **kwargs)
+            finally:
+                first_calls.append((n_rows, sizes[0]))
+
+        monkeypatch.setattr(quad, "cc_rows", spy)
+        quad.response_g(osc_rb, silicon, 1.05e-6, kz / 1.05e-6, QuadratureSettings())
+        cap = quad._ANGULAR_BLOCK_POINTS
+        assert all(points <= cap or n_rows == 1 for n_rows, points in first_calls)
+        assert max(n_rows for n_rows, _ in first_calls) > 1
+        # A full block leaves no room for one more row.
+        assert any(points + points // n_rows > cap for n_rows, points in first_calls)
+
     def test_shared_geometry_is_read_only(self, monkeypatch, osc_rb, silicon):
         seen = self.kernel_point_args(
             monkeypatch, osc_rb, silicon, 1.05e-6, 3.0, QuadratureSettings(rel_tol=1e-4)
@@ -404,14 +454,15 @@ class TestResponse:
 
             def spy(f, *args, **kwargs):
                 batches.append(f)
-                return cc_batch(f, *args, **kwargs)
+                return cc_rows(f, *args, **kwargs)
 
             with monkeypatch.context() as m:
-                m.setattr(quad, "cc_batch", spy)
+                m.setattr(quad, "cc_rows", spy)
                 quad.response_g(
                     osc_rb, silicon, 1.05e-6, 3.0 / 1.05e-6, QuadratureSettings(rel_tol=1e-4)
                 )
-            return batches[0]
+            # The first row of the first block.
+            return lambda t: batches[0](t, np.array([0]))[0]
 
         x33, _ = _integrate._cc_rule(16)
         t_rule = 0.5 * np.pi * (x33 + 1.0)
@@ -443,8 +494,9 @@ class TestResponse:
 
 
 class TestAngularEstimate:
-    """cc_batch's error estimate on the angular batches of response_g,
-    against a 513-point Clenshaw-Curtis reference."""
+    """The angular rule's error estimate on the angular batches (the rows
+    of its blocks) of response_g, against a 513-point Clenshaw-Curtis
+    reference."""
 
     # Batches checked per response_g call: this many spread over the call,
     # and this many of those that took the most points.
@@ -459,23 +511,27 @@ class TestAngularEstimate:
     @staticmethod
     def captured_batches(monkeypatch, atom, surface, z, kz, rel_tol, per_call):
         """Integrands of per_call angular batches spread over one response_g
-        call, and of the per_call batches that took the most points."""
+        call, and of the per_call batches that took the most points. A
+        batch is one row of a block, integrated through the block's
+        integrand on that row alone."""
         batches = []
 
-        def spy(f, *args, **kwargs):
-            points = [0]
+        def spy(f, n_rows, *args, **kwargs):
+            points = np.zeros(n_rows, dtype=int)
 
-            def counted(phi):
-                points[0] += len(phi)
-                return f(phi)
+            def counted(t, rows):
+                points[rows] += len(t)
+                return f(t, rows)
 
             try:
-                return cc_batch(counted, *args, **kwargs)
+                return cc_rows(counted, n_rows, *args, **kwargs)
             finally:
-                batches.append((points[0], len(batches), f))
+                for r in range(n_rows):
+                    row = np.array([r])
+                    batches.append((int(points[r]), len(batches), lambda t, row=row: f(t, row)[0]))
 
         with monkeypatch.context() as m:
-            m.setattr(quad, "cc_batch", spy)
+            m.setattr(quad, "cc_rows", spy)
             quad.response_g(atom, surface, z, kz / z, QuadratureSettings(rel_tol=rel_tol))
         spread = batches[:: max(1, len(batches) // per_call)]
         hardest = sorted(batches, reverse=True)[:per_call]
@@ -506,7 +562,10 @@ class TestAngularEstimate:
                         vals = 0.5 * np.pi * (fx @ w)
                         if coarse is not None:
                             # No target: always the full estimate.
-                            est, _ = _integrate._cc_estimate(fx, w, vals, coarse, n_half, -np.inf)
+                            est, _ = _integrate._cc_estimate(
+                                fx[None], w, vals[None], coarse[None], n_half, np.array([-np.inf])
+                            )
+                            est = est[0]
                             err = np.abs(vals - ref)
                             above = err > noise
                             assert np.all(est[above] >= err[above]), (z, rel_tol, n_half)
