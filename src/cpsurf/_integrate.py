@@ -412,8 +412,8 @@ def _cc_estimate(
     floor are not computed. Each row is reduced by its own matrix-vector
     products, so a row gets the same bits in a block of any size.
     """
-    # Three matrix-vector products: one matrix product with the rows
-    # stacked raised the benchmark's peak RSS by 0.3-0.4 MB.
+    # Three matrix-vector products: one matrix product with the three
+    # tail rows stacked raised the benchmark's peak RSS by 0.3-0.4 MB.
     r0, r1, r2 = _cc_tail(n_half)
     tail = np.maximum(np.maximum(np.abs(fx @ r0), np.abs(fx @ r1)), np.abs(fx @ r2))
     d = np.abs(vals - coarse)
