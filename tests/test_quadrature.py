@@ -330,11 +330,11 @@ class TestResponse:
         assert exc.xi > 0.0
         if layer == "phi":
             assert exc.kp > 0.0
-            # A real (xi row, k' node) of the failing block. At 1e-13 no
-            # row meets its target at 33 points, so the block's first row
-            # is the lowest-index failing row.
-            assert any(xi == exc.xi and exc.kp in kp for xi, kp in block)
-            assert exc.xi == block[0][0]
+            # A real (xi row, k' node) of the failing block: at 1e-13 no
+            # row meets its target at 33 points, so the lowest-index
+            # failing row is the block's first, its first kernel_point call.
+            xi_first, kp_first = block[0]
+            assert exc.xi == xi_first and exc.kp in kp_first
         else:
             assert exc.kp is None
 
