@@ -4,20 +4,20 @@ Two building blocks:
 
 * ``adaptive_gauss_rows`` -- h-adaptive Gauss-Kronrod run on many
   independent integrals ("rows") in lock-step. Each panel is evaluated
-  once at the 2n+1 nodes of the Kronrod extension of the n-point Gauss
-  rule (G8/K17 by default): the Kronrod sum is the panel value, its
-  difference from the embedded Gauss sum the panel error estimate, so
-  the estimate costs no extra integrand points. Each row bisects its own
-  worst panel until its summed estimate meets the tolerance. Every round
-  makes one integrand call that covers the panels of every unconverged
-  row (the initial split of all rows, then both halves of each row's
-  bisection), so an integrand that batches its own work sees a few large
-  arrays rather than many small ones. The panels' bounds, values and
-  errors are arrays over (rows, panels), so a round's bookkeeping is a
-  few numpy calls whatever the number of rows. An integrand may return
-  several components at once (a leading axis); a row then runs until
-  every component meets its own tolerance. ``adaptive_gauss`` is the
-  one-row case.
+  once at the 17 nodes of G8/K17, the Kronrod extension of the 8-point
+  Gauss rule, kept as a literal table: the Kronrod sum is the panel
+  value, its difference from the embedded Gauss sum the panel error
+  estimate, so the estimate costs no extra integrand points. Each row
+  bisects its own worst panel until its summed estimate meets the
+  tolerance. Every round makes one integrand call that covers the panels
+  of every unconverged row (the initial split of all rows, then both
+  halves of each row's bisection), so an integrand that batches its own
+  work sees a few large arrays rather than many small ones. The panels'
+  bounds, values and errors are arrays over (rows, panels), so a round's
+  bookkeeping is a few numpy calls whatever the number of rows. An
+  integrand may return several components at once (a leading axis); a
+  row then runs until every component meets its own tolerance.
+  ``adaptive_gauss`` is the one-row case.
 * ``cc_rows`` -- nested Clenshaw-Curtis over [0, pi] with node doubling,
   run on a block of rows, each a batch of integrands (for the response,
   a row is one xi node and its batch the angular integrals of its k'
@@ -40,7 +40,6 @@ integrated alone.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable
 
@@ -73,109 +72,58 @@ class ConvergenceError(RuntimeError):
         self.kp: float | None = None
 
 
-def _kronrod_jacobi(n: int) -> np.ndarray:
-    """Off-diagonal squares b_0..b_2n of the (2n+1) x (2n+1) Jacobi-Kronrod
-    matrix of the Legendre weight (b_0 = 2, the weight's mass).
-
-    Laurie's algorithm (Math. Comp. 66, 1997) for a symmetric weight: the
-    diagonal is zero, the first ceil(3n/2) + 1 entries are the Legendre
-    recurrence coefficients k^2 / (4k^2 - 1), and the rest follow from
-    the mixed moments s, t of the Gauss and Kronrod polynomials.
-    """
-    k = np.arange(2 * n + 1.0)
-    b = k**2 / (4.0 * k**2 - 1.0)
-    b[0] = 2.0
-    b[(3 * n + 1) // 2 + 1 :] = 0.0  # filled in below
-    s = np.zeros(n // 2 + 2)
-    t = np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        k = np.arange((m + 1) // 2, -1, -1)
-        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
-        s, t = t, s
-    s[1:] = s[:-1].copy()
-    for m in range(n - 1, 2 * n - 2):
-        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        j = n - 1 - (m - k)
-        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
-        if m % 2:
-            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
-        s, t = t, s
-    return b
+# G8/K17 on [-1, 1]: the 9 non-negative nodes of the 17-point Kronrod
+# extension of the 8-point Gauss rule from the centre out (the odd entries
+# are the Gauss nodes), their Kronrod weights, and the Gauss weights of the
+# 4 non-negative Gauss nodes; exact through degree 25 and 15. The values
+# are repr(float) of the rule by Laurie's algorithm (Math. Comp. 66, 1997),
+# which the tests derive again and check bit for bit.
+_GK17_X = (
+    0.0, 0.18343464249564978, 0.36070109792813193, 0.525532409916329, 0.6723540709451586,
+    0.7966664774136267, 0.8941209068474564, 0.9602898564975362, 0.9933798758817162,
+)
+_GK17_WK = (
+    0.18444640574469173, 0.18140002506803454, 0.1720706085552114, 0.1566526061681884,
+    0.13626310925517224, 0.11164637082683963, 0.08248229893135829, 0.04943939500213927,
+    0.017822383320710417,
+)
+_GK17_WG = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
 
 
-@lru_cache(maxsize=8)
-def _gauss_kronrod(n_high: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes of the (2n+1)-point Kronrod extension of the n-point Gauss
-    rule on [-1, 1], n_high = 2n+1, ascending, with the Kronrod weight
-    column and the Gauss weight column of the odd-indexed (Gauss) nodes.
-
-    The nodes are the eigenvalues of the Jacobi-Kronrod matrix (Laurie,
-    1997; QUADPACK, Piessens et al., 1983), Newton-polished on its
-    characteristic polynomial; the weights are its Christoffel numbers
-    1 / sum_k p_k(x)^2 over the orthonormal recurrence polynomials. The
-    Gauss nodes and weights are taken exactly from ``leggauss`` and the
-    rule is made exactly symmetric. The Kronrod rule is exact through
-    degree 3n+1, the Gauss rule through 2n-1.
-    """
-    n = (n_high - 1) // 2
-    if n_high != 2 * n + 1 or n < 1:
-        raise ValueError("n_high must be 2n+1 for an n-point Gauss rule, n >= 1")
-    x_g, w_g = np.polynomial.legendre.leggauss(n)
-    b = _kronrod_jacobi(n)
-    off = np.sqrt(b[1:])
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    for _ in range(2):
-        # Newton on the monic characteristic polynomial of the matrix,
-        # pi_{k+1} = x pi_k - b_k pi_{k-1} (pi_{-1} = 0), and its derivative.
-        p, p_prev = np.ones_like(x), np.zeros_like(x)
-        dp, dp_prev = np.zeros_like(x), np.zeros_like(x)
-        for bk in b:
-            p, p_prev, dp, dp_prev = x * p - bk * p_prev, p, p + x * dp - bk * dp_prev, dp
-        x = x - p / dp
-    nodes = 0.5 * (x - x[::-1])
-    nodes[1::2] = x_g
-    # Orthonormal p_0 = 1 / sqrt(b_0), sqrt(b_{k+1}) p_{k+1} = x p_k - sqrt(b_k) p_{k-1}.
-    p, p_prev = np.full_like(nodes, 1.0 / math.sqrt(b[0])), np.zeros_like(nodes)
-    total = p**2
-    for k in range(n_high - 1):
-        sub = off[k - 1] if k else 0.0
-        p, p_prev = (nodes * p - sub * p_prev) / off[k], p
-        total += p**2
-    w_k = 1.0 / total
-    w_k = 0.5 * (w_k + w_k[::-1])
-    return nodes, w_k[:, None], w_g[:, None]
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-def _panel_estimates(
-    f: Callable[[np.ndarray], np.ndarray],
-    los,
-    his,
-    n_high: int,
-) -> np.ndarray:
+# Read-only, as _panel_estimates uses them: the 17 nodes ascending, the
+# Kronrod weight column and the Gauss weight column of the odd nodes.
+_GK17_NODES = _read_only(np.array([-x for x in _GK17_X[:0:-1]] + list(_GK17_X)))
+_GK17_KRONROD = _read_only(np.array(_GK17_WK[:0:-1] + _GK17_WK).reshape(-1, 1))
+_GK17_GAUSS = _read_only(np.array(_GK17_WG[::-1] + _GK17_WG).reshape(-1, 1))
+
+
+def _panel_estimates(f: Callable[[np.ndarray], np.ndarray], los, his) -> np.ndarray:
     """Values and abs error estimates of the panels [los, his], stacked
     on a leading axis of 2 (values first).
 
-    ``los`` and ``his`` share a shape P. One call of ``f`` receives the
-    n_high Gauss-Kronrod nodes (ascending) of every panel, shape
-    P + (n_high,), and returns the integrand there with that shape or
-    with a leading component axis, (c,) + P + (n_high,); the result has
-    shape (2,) + P or (2, c) + P. The value is the Kronrod sum and the
-    error estimate its distance from the embedded Gauss sum. Each panel
-    is reduced by its own dot product (a stack of 1 x n products, which
-    numpy hands to the same BLAS dot as ``np.dot``), so a pointwise
-    integrand gives the same bits as evaluating each rule of each panel
-    on its own. Raises FloatingPointError if a panel's value or error
-    estimate is not finite.
+    ``los`` and ``his`` share a shape P. One call of ``f`` receives the 17
+    G8/K17 nodes (ascending) of every panel, shape P + (17,), and returns
+    the integrand there with that shape or with a leading component axis,
+    (c,) + P + (17,); the result has shape (2,) + P or (2, c) + P. The
+    value is the Kronrod sum and the error estimate its distance from the
+    embedded Gauss sum. Each panel is reduced by its own dot product (a
+    stack of 1 x n products, which numpy hands to the same BLAS dot as
+    ``np.dot``), so a pointwise integrand gives the same bits as
+    evaluating each rule of each panel on its own. Raises
+    FloatingPointError if a panel's value or error estimate is not finite.
     """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     mids = 0.5 * (los + his)
     halves = 0.5 * (his - los)
-    nodes, w_k, w_g = _gauss_kronrod(n_high)
-    fx = np.asarray(f(mids[..., None] + halves[..., None] * nodes))[..., None, :]
-    i_k = halves * np.matmul(fx, w_k)[..., 0, 0]
-    i_g = halves * np.matmul(np.ascontiguousarray(fx[..., 1::2]), w_g)[..., 0, 0]
+    fx = np.asarray(f(mids[..., None] + halves[..., None] * _GK17_NODES))[..., None, :]
+    i_k = halves * np.matmul(fx, _GK17_KRONROD)[..., 0, 0]
+    i_g = halves * np.matmul(np.ascontiguousarray(fx[..., 1::2]), _GK17_GAUSS)[..., 0, 0]
     with np.errstate(invalid="ignore"):
         err = np.abs(i_k - i_g)
     if not np.isfinite(err).all():
@@ -190,7 +138,6 @@ def adaptive_gauss_rows(
     b,
     rel_tol: float,
     max_panels: int = 4096,
-    n_high: int = 17,
     initial_panels: int = 4,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate many independent rows over [a[r], b[r]] in lock-step.
@@ -231,7 +178,7 @@ def adaptive_gauss_rows(
             fx = np.asarray(f(x.reshape(x.shape[0], -1), ids[:, None]))
             return fx.reshape(fx.shape[:-2] + x.shape)
 
-        return _panel_estimates(f_lines, los, his, n_high)
+        return _panel_estimates(f_lines, los, his)
 
     # The working rows' panels, one column per panel in the order the
     # panels were made: bounds lo, hi of shape (rows, columns) and
@@ -311,7 +258,7 @@ def adaptive_gauss(
     b: float,
     rel_tol: float,
     max_panels: int = 4096,
-    n_high: int = 17,
+    n_high: int = 17,  # only 17  (bench/tracing.py's _AG_SIG reads it; ROADMAP item 1)
     initial_panels: int = 4,
 ):
     """Integrate ``f`` over [a, b]; returns (value, abs error estimate).
@@ -321,16 +268,17 @@ def adaptive_gauss(
     (c, x.size) array of c components, in which case the value and the
     error are (c,) arrays; it is called once for the initial panels and
     once per bisection. Raises ConvergenceError if the panel budget runs
-    out first.
+    out first. The rule is G8/K17; ``n_high``, its point count, admits no
+    other value.
     """
+    if n_high != 17:
+        raise ValueError(f"n_high must be 17 (the G8/K17 rule), got {n_high}")
 
     def f_row(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         fx = np.asarray(f(x.ravel()))
         return fx.reshape(fx.shape[:-1] + x.shape)
 
-    values, errors = adaptive_gauss_rows(
-        f_row, a, b, rel_tol, max_panels, n_high, initial_panels
-    )
+    values, errors = adaptive_gauss_rows(f_row, a, b, rel_tol, max_panels, initial_panels)
     if values.ndim == 2:
         return values[:, 0], errors[:, 0]
     return float(values[0]), float(errors[0])
@@ -348,7 +296,7 @@ def _cc_rule(n_half: int) -> tuple[np.ndarray, np.ndarray]:
     w = (2.0 / n) * (1.0 - cos_table @ (b / (4.0 * m**2 - 1.0)))
     w[0] *= 0.5
     w[-1] *= 0.5
-    return x, w
+    return _read_only(x), _read_only(w)
 
 
 @lru_cache(maxsize=16)
@@ -369,7 +317,7 @@ def _cc_tail(n_half: int) -> tuple[np.ndarray, ...]:
     # (j k) mod 2n keeps the cosine's argument in [0, 2 pi).
     rows = [scale * np.cos(np.pi * ((j * k) % (2 * n)) / n) for k in (n - 4, n - 2, n)]
     rows[2] *= 0.5
-    return tuple(rows)
+    return tuple(map(_read_only, rows))
 
 
 # Rounding floor of a Clenshaw-Curtis error estimate relative to the

@@ -99,31 +99,35 @@ def _pick(flag_value, cfg: dict, key: str, default=None):
 def _parse_grid(spec, name: str) -> list[float]:
     """Grid from a JSON list or a string: 'a,b,c', 'lin:a:b:n', 'log:a:b:n'.
 
-    name is the grid's config key; a non-finite value is rejected with it.
+    name is the grid's config key; a spec that does not parse and a
+    non-finite value are rejected with it.
     """
-    if isinstance(spec, (list, tuple)):
-        try:
+    kind = None
+    try:
+        if isinstance(spec, (list, tuple)):
             values = [float(v) for v in spec]
-        except TypeError:
-            raise ValueError(f"grid entries must be numbers, got {spec!r}") from None
-        except OverflowError:
-            raise ValueError(f"{name} grid values must be finite") from None
-    else:
-        text = str(spec).strip()
-        if text.startswith(("lin:", "log:")):
-            kind, lo, hi, n = text.split(":")
-            lo, hi, n = float(lo), float(hi), int(n)
-            _require_finite([lo, hi], name)
-            if n < 1:
-                raise ValueError("grid needs at least one point")
-            if kind == "log":
-                if not (lo > 0.0 and hi > 0.0):
-                    raise ValueError("log grid endpoints must be positive")
-                values = list(np.geomspace(lo, hi, n))
-            else:
-                values = list(np.linspace(lo, hi, n))
         else:
-            values = [float(v) for v in text.split(",") if v.strip()]
+            text = str(spec).strip()
+            if text.startswith(("lin:", "log:")):
+                kind, lo, hi, n = text.split(":")
+                lo, hi, n = float(lo), float(hi), int(n)
+            else:
+                values = [float(v) for v in text.split(",") if v.strip()]
+    except OverflowError:
+        raise ValueError(f"{name} grid values must be finite") from None
+    except (TypeError, ValueError):
+        forms = "a list of numbers, 'a,b,c', 'lin:a:b:n' or 'log:a:b:n' (n an integer)"
+        raise ValueError(f"{name} grid {spec!r} does not parse; give {forms}") from None
+    if kind is not None:
+        _require_finite([lo, hi], name)
+        if n < 1:
+            raise ValueError("grid needs at least one point")
+        if kind == "log":
+            if not (lo > 0.0 and hi > 0.0):
+                raise ValueError("log grid endpoints must be positive")
+            values = list(np.geomspace(lo, hi, n))
+        else:
+            values = list(np.linspace(lo, hi, n))
     if not values:
         raise ValueError("empty grid")
     _require_finite(values, name)

@@ -8,16 +8,16 @@ scales of the problem (xi_0 = c / z_A, k_0 = 1 / z_A):
 
 The plane pass and the response run on one xi x k' skeleton
 (_xi_kprime). The outer (frequency) integral is adaptive Gauss-Kronrod
-(G8/K17: 17 integrand points per panel, the error estimate from the
-embedded 8-point Gauss rule), each step evaluating every xi node of its
-panels in one call. The k' integrals of all xi nodes of an outer step
-run in lock-step as rows of one adaptive of the same rule, each round
-handing the new k' nodes of every working row to a row integrand in one
-call. U0 and F0 differ only in the k' weight, so the plane pass
-integrates both as two components of one integrand: one Fresnel call
-per round (a xi column against the k lines) serves both, and every
-layer refines until both meet the tolerance; plane_potential and
-plane_force return its halves. The response's integrand runs the angular
+(G8/K17, a literal table: 17 integrand points per panel, the error
+estimate from the embedded 8-point Gauss rule), each step evaluating
+every xi node of its panels in one call. The k' integrals of all xi
+nodes of an outer step run in lock-step as rows of one adaptive of the
+same rule, each round handing the new k' nodes of every working row to a
+row integrand in one call. U0 and F0 differ only in the k' weight, so
+the plane pass integrates both as two components of one integrand: one
+Fresnel call per round (a xi column against the k lines) serves both,
+and every layer refines until both meet the tolerance; plane_potential
+and plane_force return its halves. The response's integrand runs the angular
 integrals of a round's rows by nested Clenshaw-Curtis (cc_rows), one rule
 call per block of rows of at most 16,384 first-call points, each row
 taking the angular integrals of all its k' nodes at once and stopping on

@@ -4,6 +4,7 @@ renamed or re-shaped layer would break traced runs without this check."""
 
 import contextlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cpsurf import cli, quadrature as quad
+from cpsurf import _integrate, cli, quadrature as quad
 from cpsurf.quadrature import QuadratureSettings
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,3 +108,15 @@ def test_tracer_patches_resolve_and_restore(tracing):
             assert vars(owner)[attr] is not original, (owner, attr)
     for (owner, attr), original in zip(targets, originals):
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+def test_adaptive_gauss_keeps_the_options_the_tracer_reads():
+    # The tracer binds adaptive_gauss's signature (_AG_SIG) and reads the
+    # bound n_high and initial_panels to count the useful G8/K17 nodes.
+    # The rule is a fixed table, so n_high admits 17 alone.
+    params = inspect.signature(_integrate.adaptive_gauss).parameters
+    assert params["n_high"].default == 17
+    assert params["initial_panels"].default == 4
+    assert _integrate.adaptive_gauss(lambda x: x, 0.0, 1.0, 1e-10, n_high=17)[0] == 0.5
+    with pytest.raises(ValueError, match="n_high"):
+        _integrate.adaptive_gauss(lambda x: x, 0.0, 1.0, 1e-10, n_high=15)

@@ -652,6 +652,23 @@ class TestExitCodes:
         assert f"{grid} grid values must be finite" in err
 
     @pytest.mark.parametrize(
+        "argv, grid",
+        [
+            (["plane", "--z", "lin:1e-6:2e-6"], "z_a_m"),
+            (["response", "--z", "1e-6", "--kz", "lin:1e-6:2e-6:2.5"], "kz_a"),
+            (["corrugation", "--z", "2e-6", "--k-c", "1e5", "--x", "lin:a:2e-6:2"], "x_m"),
+        ],
+    )
+    def test_malformed_grid_names_key_and_forms(self, argv, grid):
+        # Neither Python's unpacking nor its int() or float() message
+        # reaches the user: the error names the grid and what it accepts.
+        code, out, err = run_main(*argv, *STATIC_MIRROR)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {grid} grid ") and err.count("\n") == 1
+        assert "does not parse" in err and "'lin:a:b:n'" in err and "'log:a:b:n'" in err
+        assert "unpack" not in err and "invalid literal" not in err and "convert" not in err
+
+    @pytest.mark.parametrize(
         "text, field",
         [
             ('{"surface": {"model": "plasma", "omega_p_rad_s": 1e400}}', "omega_p"),

@@ -13,6 +13,8 @@ from cpsurf._integrate import (
 )
 
 NODES_PER_PANEL = 17  # G8/K17: the Kronrod nodes embed the 8 Gauss nodes
+# The engine's rule: nodes, Kronrod weight column, Gauss weight column.
+GK17_TABLE = (_integrate._GK17_NODES, _integrate._GK17_KRONROD, _integrate._GK17_GAUSS)
 
 
 class Recorder:
@@ -34,9 +36,9 @@ class EstimateLog:
         self.panels = []
         estimate = _integrate._panel_estimates
 
-        def spy(f, los, his, n_high):
+        def spy(f, los, his):
             self.panels.append((np.array(los).tolist(), np.array(his).tolist()))
-            return estimate(f, los, his, n_high)
+            return estimate(f, los, his)
 
         monkeypatch.setattr(_integrate, "_panel_estimates", spy)
 
@@ -61,11 +63,11 @@ class EstimateLog:
         return parents
 
 
-def reference_estimate(f, a, b, n_high=17):
+def reference_estimate(f, a, b):
     # One panel, one rule per call: the unbatched form of the estimate.
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes, w_k, w_g = _integrate._gauss_kronrod(n_high)
-    x_g, w_g8 = np.polynomial.legendre.leggauss((n_high - 1) // 2)
+    nodes, w_k, w_g = GK17_TABLE
+    x_g, w_g8 = np.polynomial.legendre.leggauss(8)
     assert np.array_equal(w_g.ravel(), w_g8)
     i_k = half * float(np.dot(w_k.ravel(), f(mid + half * nodes)))
     i_g = half * float(np.dot(w_g8, f(mid + half * x_g)))
@@ -99,9 +101,87 @@ def _shifted_moment(degree, shift=0.3):
     return ((1.0 + shift) ** (degree + 1) - (shift - 1.0) ** (degree + 1)) / (degree + 1)
 
 
+def kronrod_jacobi(n):
+    """Off-diagonal squares b_0..b_2n of the (2n+1) x (2n+1) Jacobi-Kronrod
+    matrix of the Legendre weight (b_0 = 2, the weight's mass).
+
+    Laurie's algorithm (Math. Comp. 66, 1997) for a symmetric weight: the
+    diagonal is zero, the first ceil(3n/2) + 1 entries are the Legendre
+    recurrence coefficients k^2 / (4k^2 - 1), and the rest follow from
+    the mixed moments s, t of the Gauss and Kronrod polynomials.
+    """
+    k = np.arange(2 * n + 1.0)
+    b = k**2 / (4.0 * k**2 - 1.0)
+    b[0] = 2.0
+    b[(3 * n + 1) // 2 + 1 :] = 0.0  # filled in below
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - (m - k)
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    return b
+
+
+def derive_gauss_kronrod(n_high):
+    """The (2n+1)-point Kronrod extension of the n-point Gauss rule on
+    [-1, 1], n_high = 2n+1, derived apart from the engine's table: the
+    nodes ascending, the Kronrod weight column and the Gauss weight column
+    of the odd-indexed (Gauss) nodes.
+
+    The nodes are the eigenvalues of the Jacobi-Kronrod matrix (Laurie,
+    1997; QUADPACK, Piessens et al., 1983), Newton-polished on its
+    characteristic polynomial; the weights are its Christoffel numbers
+    1 / sum_k p_k(x)^2 over the orthonormal recurrence polynomials. The
+    Gauss nodes and weights are taken exactly from ``leggauss`` and the
+    rule is made exactly symmetric.
+    """
+    n = (n_high - 1) // 2
+    if n_high != 2 * n + 1 or n < 1:
+        raise ValueError("n_high must be 2n+1 for an n-point Gauss rule, n >= 1")
+    x_g, w_g = np.polynomial.legendre.leggauss(n)
+    b = kronrod_jacobi(n)
+    off = np.sqrt(b[1:])
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    for _ in range(2):
+        # Newton on the monic characteristic polynomial of the matrix,
+        # pi_{k+1} = x pi_k - b_k pi_{k-1} (pi_{-1} = 0), and its derivative.
+        p, p_prev = np.ones_like(x), np.zeros_like(x)
+        dp, dp_prev = np.zeros_like(x), np.zeros_like(x)
+        for bk in b:
+            p, p_prev, dp, dp_prev = x * p - bk * p_prev, p, p + x * dp - bk * dp_prev, dp
+        x = x - p / dp
+    nodes = 0.5 * (x - x[::-1])
+    nodes[1::2] = x_g
+    # Orthonormal p_0 = 1 / sqrt(b_0), sqrt(b_{k+1}) p_{k+1} = x p_k - sqrt(b_k) p_{k-1}.
+    p, p_prev = np.full_like(nodes, 1.0 / math.sqrt(b[0])), np.zeros_like(nodes)
+    total = p**2
+    for k in range(n_high - 1):
+        sub = off[k - 1] if k else 0.0
+        p, p_prev = (nodes * p - sub * p_prev) / off[k], p
+        total += p**2
+    w_k = 1.0 / total
+    w_k = 0.5 * (w_k + w_k[::-1])
+    return nodes, w_k[:, None], w_g[:, None]
+
+
 class TestGaussKronrodRule:
+    def test_table_matches_derivation_bit_for_bit(self):
+        for table, derived in zip(GK17_TABLE, derive_gauss_kronrod(17)):
+            assert table.shape == derived.shape
+            assert np.array_equal(table, derived)
+
     def test_layout(self):
-        nodes, w_k, w_g = _integrate._gauss_kronrod(17)
+        nodes, w_k, w_g = GK17_TABLE
         assert nodes.shape == (17,) and w_k.shape == (17, 1) and w_g.shape == (8, 1)
         assert np.all(np.diff(nodes) > 0.0)
         assert np.array_equal(nodes, -nodes[::-1])
@@ -113,7 +193,7 @@ class TestGaussKronrodRule:
         assert -1.0 < nodes[0] and nodes[-1] < 1.0
 
     def test_kronrod_exact_through_degree_25_and_gauss_through_15(self):
-        nodes, w_k, w_g = _integrate._gauss_kronrod(17)
+        nodes, w_k, w_g = GK17_TABLE
         k_err = []
         g_err = []
         for degree in range(27):
@@ -129,7 +209,8 @@ class TestGaussKronrodRule:
 
     def test_g7k15_matches_quadpack(self):
         # The 15-point rule of QUADPACK's dqk15 (Piessens et al., 1983),
-        # tabulated to 33 digits: abscissae from -1 up to the centre.
+        # tabulated to 33 digits: abscissae from -1 up to the centre. It
+        # checks the derivation that checks the table.
         xgk = [
             0.991455371120812639206854697526329,
             0.949107912342758524526189684047851,
@@ -150,14 +231,23 @@ class TestGaussKronrodRule:
             0.204432940075298892414161999234649,
             0.209482141084727828012999174891714,
         ]
-        nodes, w_k, _ = _integrate._gauss_kronrod(15)
+        nodes, w_k, _ = derive_gauss_kronrod(15)
         assert nodes[:8] == pytest.approx(-np.array(xgk), abs=4e-16)
         assert w_k.ravel()[:8] == pytest.approx(wgk, rel=4e-15)
 
     @pytest.mark.parametrize("n_high", [16, 1, 0])
     def test_rejects_even_or_empty_rule(self, n_high):
         with pytest.raises(ValueError):
-            _integrate._gauss_kronrod(n_high)
+            derive_gauss_kronrod(n_high)
+
+    def test_rule_tables_are_read_only(self):
+        # The tables are shared by every caller (the Clenshaw-Curtis ones
+        # through a cache), so a write anywhere would change every later
+        # integral.
+        tables = [*GK17_TABLE, *_integrate._cc_rule(8), *_integrate._cc_tail(16)]
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 1.0
 
 
 class TestAdaptiveGauss:
@@ -189,7 +279,7 @@ class TestAdaptiveGauss:
         def f(x):
             return np.exp(-3.0 * x) * np.sin(7.0 * x) + np.sqrt(x)
 
-        values, errors = _integrate._panel_estimates(f, los, his, 17)
+        values, errors = _integrate._panel_estimates(f, los, his)
         batched = list(zip(values.tolist(), errors.tolist()))
         assert batched == [reference_estimate(f, a, b) for a, b in zip(los, his)]
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from cpsurf import _integrate, closedforms as cf, quadrature as quad
-from cpsurf._integrate import _gauss_kronrod, adaptive_gauss, cc_batch, cc_rows
-from cpsurf.atomics import StaticPolarizability, polarizability
+from cpsurf._integrate import adaptive_gauss, cc_batch, cc_rows
+from cpsurf.atomics import StaticPolarizability, polarizability, rubidium_single_oscillator
 from cpsurf.constants import C_LIGHT
-from cpsurf.optics import fresnel
+from cpsurf.optics import DrudeLorentz, fresnel
 from cpsurf.quadrature import IntegralResult, QuadratureSettings
 
 
@@ -206,7 +206,7 @@ class TestPlaneIntegrals:
         assert exc.layer == "kprime" and exc.kp is None
         # No row can converge in 4 panels, so the failing row is row 0:
         # the lowest Kronrod node of the first outer panel [0, 1/4].
-        u = 0.125 + 0.125 * _gauss_kronrod(17)[0][0]
+        u = 0.125 + 0.125 * _integrate._GK17_NODES[0]
         assert exc.xi == pytest.approx((C_LIGHT / 1e-6) * u / (1.0 - u), rel=1e-12)
 
     def test_validation(self, static_rb, mirror, settings):
@@ -572,6 +572,47 @@ class TestAngularEstimate:
                             checked += int(np.sum(above))
                         coarse = vals
         assert checked > 0
+
+
+@functools.lru_cache(maxsize=None)
+def static_rb_over_constant_eps(eps, z, kz):
+    """response_g at k = kz / z of static Rb over a constant eps: a
+    Drude-Lorentz dielectric whose resonance, 1e22 rad/s, lies far above
+    every xi the integrals reach. Default settings."""
+    atom = StaticPolarizability(rubidium_single_oscillator().alpha0)
+    return quad.response_g(atom, DrudeLorentz(1e22, eps), z, kz / z, QuadratureSettings())
+
+
+def rho_over_rho_cp(eps, kz, z=1e-6):
+    g0 = static_rb_over_constant_eps(eps, z, 0.0).value
+    return static_rb_over_constant_eps(eps, z, kz).value / g0 / cf.rho_cp_perf(kz)
+
+
+class TestScaleFreeReferences:
+    """A static atom over a constant eps has no length but z_A, so g z_A^5
+    and F0 z_A^5 = g(0) z_A^5 depend on k z_A and eps alone, and rho = g / F0
+    tends to the ideal mirror's rho_CP as eps grows. Over two decades of
+    z_A, one check runs every layer's maps and scales at once."""
+
+    @pytest.mark.parametrize("kz", [0.0, 1.0, 3.0, 6.0])
+    def test_g_times_z5_depends_on_kz_alone(self, kz):
+        scaled = []
+        for z in (1e-7, 1e-6, 1e-5):
+            res = static_rb_over_constant_eps(11.87, z, kz)
+            scaled.append((res.value * z**5, res.error * z**5))
+        for i, (v1, e1) in enumerate(scaled):
+            for v2, e2 in scaled[i + 1 :]:
+                assert abs(v1 - v2) <= e1 + e2, (kz, scaled)
+
+    def test_rho_deviation_at_silicon_eps_matches_table(self):
+        # ROADMAP item 7's table for eps = 11.87, in percent.
+        devs = [100.0 * (rho_over_rho_cp(11.87, kz) - 1.0) for kz in (1.0, 3.0, 6.0)]
+        assert devs == pytest.approx([-0.14, -1.27, -3.99], abs=0.01)
+
+    @pytest.mark.parametrize("kz", [1.0, 3.0, 6.0])
+    def test_rho_tends_to_rho_cp_as_eps_grows(self, kz):
+        devs = [abs(rho_over_rho_cp(eps, kz) - 1.0) for eps in (2.0, 11.87, 100.0, 1e4)]
+        assert all(a > b for a, b in zip(devs, devs[1:])), devs
 
 
 class TestDerivedQuantities:
